@@ -9,6 +9,13 @@
 //! The first (cheapest) candidate that meets all deadlines wins; if none
 //! does, the specification is unallocatable against the library.
 //!
+//! A candidate is tried in place: the architecture is checkpointed, the
+//! cluster is scheduled onto it directly, and a rejected candidate is
+//! rolled back through the undo log ([`Architecture::checkpoint`]) —
+//! nothing is copied. Just before an entry would be tried, the static
+//! pruning oracle ([`CosynOptions::pruning`]) may prove it dead and skip
+//! it; entries after the committed one are never judged.
+//!
 //! Scheduling policy: software tasks are placed non-preemptively at the
 //! earliest feasible slot; when no slot meets the task's latest-start
 //! bound and preemption is enabled, the lowest-priority resident task is
@@ -70,6 +77,13 @@ pub struct AllocationDecision {
     pub added_cost: Dollars,
 }
 
+/// Pruning verdicts already reached for one allocation array.
+#[derive(Default)]
+struct PruneMemo {
+    by_type: Vec<(PeTypeId, bool)>,
+    by_instance: Vec<(PeInstanceId, bool)>,
+}
+
 /// The mutable allocation engine driving the synthesis loops.
 pub struct Allocator<'a> {
     spec: &'a SystemSpec,
@@ -97,7 +111,8 @@ pub struct Allocator<'a> {
     oracle: Option<crusade_lint::PruningOracle>,
     /// Allocation candidates evaluated (a scheduling attempt ran).
     candidates_tried: usize,
-    /// Allocation candidates skipped by the oracle without scheduling.
+    /// Allocation candidates the oracle skipped before a commit (entries
+    /// after the committed one are never judged).
     candidates_pruned: usize,
     /// Portfolio sharing (cancellation flag + negative evaluation cache),
     /// installed by [`crate::CoSynthesis::with_portfolio_hooks`].
@@ -167,8 +182,8 @@ impl<'a> Allocator<'a> {
             fp ^ (clustering.cluster_count() as u64) ^ ((spec.graph_count() as u64) << 32),
         );
         // The board shares the options' observer handle: every placement
-        // attempt — including ones on scratch clones — reports the slot
-        // it chose.
+        // attempt — including ones a rejected candidate rolls back —
+        // reports the slot it chose.
         let mut arch = Architecture::new();
         arch.board.set_observer(options.observer.clone());
         Allocator {
@@ -198,7 +213,8 @@ impl<'a> Allocator<'a> {
     }
 
     /// `(tried, pruned)` — allocation candidates that were evaluated with
-    /// a scheduling attempt vs. skipped outright by the pruning oracle.
+    /// a scheduling attempt vs. skipped outright by the pruning oracle
+    /// (counting only entries reached before each cluster's commit).
     pub fn candidate_counters(&self) -> (usize, usize) {
         (self.candidates_tried, self.candidates_pruned)
     }
@@ -244,12 +260,9 @@ impl<'a> Allocator<'a> {
     /// Builds the allocation array for `cluster`, ordered by increasing
     /// incremental cost; among free (existing) candidates, the least-loaded
     /// instance comes first so placements finish early and load spreads.
-    /// Also returns how many candidates the pruning oracle discarded.
-    fn allocation_array(
-        &self,
-        cid: ClusterId,
-        cluster: &Cluster,
-    ) -> (Vec<(AllocTarget, Dollars)>, usize) {
+    /// Pruning is left to [`allocate`](Self::allocate), which asks for
+    /// each entry's verdict only when that entry is reached.
+    fn allocation_array(&self, cid: ClusterId, cluster: &Cluster) -> Vec<(AllocTarget, Dollars)> {
         let mut entries: Vec<(AllocTarget, Dollars, usize)> = Vec::new();
         for (pid, pe) in self.arch.pes() {
             if !cluster.allowed_pes.contains(&pe.ty) {
@@ -311,57 +324,54 @@ impl<'a> Allocator<'a> {
                 i = j;
             }
         }
-        // Static pruning: drop candidates whose PE type is provably dead
-        // for this cluster. Memoised per type — the verdict only depends
-        // on the type (and the board state, fixed for this array).
-        let est_finish = self
-            .oracle
-            .is_some()
-            .then(|| self.estimate_graph_finishes(&self.arch, cluster.graph));
-        let est_finish = est_finish.as_deref().unwrap_or(&[]);
-        let mut verdicts: Vec<(PeTypeId, bool)> = Vec::new();
-        let mut instance_verdicts: Vec<(PeInstanceId, bool)> = Vec::new();
-        let mut pruned = 0usize;
-        let kept = entries
+        entries
             .into_iter()
-            .filter(|(target, ..)| {
-                let ty = match *target {
-                    AllocTarget::Existing { pe, .. } | AllocTarget::NewMode { pe } => {
-                        self.arch.pe(pe).ty
-                    }
-                    AllocTarget::New { ty } => ty,
-                };
-                let mut dead = match verdicts.iter().find(|(t, _)| *t == ty) {
+            .map(|(target, cost, _)| (target, cost))
+            .collect()
+    }
+
+    /// The pruning oracle's verdict on one allocation-array entry: `true`
+    /// when trying it provably fails. Memoised in `memo` per PE type and
+    /// per existing CPU instance — verdicts only depend on those and on
+    /// the board, which rejected candidates leave unchanged.
+    fn entry_pruned(
+        &self,
+        cluster: &Cluster,
+        target: AllocTarget,
+        first_est: &[Nanos],
+        memo: &mut PruneMemo,
+    ) -> bool {
+        if self.oracle.is_none() {
+            return false;
+        }
+        let ty = match target {
+            AllocTarget::Existing { pe, .. } | AllocTarget::NewMode { pe } => self.arch.pe(pe).ty,
+            AllocTarget::New { ty } => ty,
+        };
+        let dead = match memo.by_type.iter().find(|(t, _)| *t == ty) {
+            Some(&(_, d)) => d,
+            None => {
+                let d = self.cluster_pruned_on(cluster, ty, first_est);
+                memo.by_type.push((ty, d));
+                d
+            }
+        };
+        // Instance-level refinement: an existing CPU whose inviolable
+        // occupancies already block the first member's admission window
+        // is dead even though the type is not.
+        match target {
+            AllocTarget::Existing { pe, .. } if !dead && self.lib.pe(ty).is_cpu() => {
+                match memo.by_instance.iter().find(|(p, _)| *p == pe) {
                     Some(&(_, d)) => d,
                     None => {
-                        let d = self.cluster_pruned_on(cluster, ty, est_finish);
-                        verdicts.push((ty, d));
+                        let d = self.cpu_instance_dead(cluster, pe, first_est);
+                        memo.by_instance.push((pe, d));
                         d
                     }
-                };
-                // Instance-level refinement: an existing CPU whose
-                // inviolable occupancies already block the first member's
-                // admission window is dead even though the type is not.
-                if !dead && !est_finish.is_empty() && self.lib.pe(ty).is_cpu() {
-                    if let AllocTarget::Existing { pe, .. } = *target {
-                        dead = match instance_verdicts.iter().find(|(p, _)| *p == pe) {
-                            Some(&(_, d)) => d,
-                            None => {
-                                let d = self.cpu_instance_dead(cluster, pe, est_finish);
-                                instance_verdicts.push((pe, d));
-                                d
-                            }
-                        };
-                    }
                 }
-                if dead {
-                    pruned += 1;
-                }
-                !dead
-            })
-            .map(|(target, cost, _)| (target, cost))
-            .collect();
-        (kept, pruned)
+            }
+            _ => dead,
+        }
     }
 
     /// The pruning oracle's verdict: `true` when placing `cluster` on any
@@ -427,7 +437,7 @@ impl<'a> Allocator<'a> {
     /// Mirrors the `ready > latest_start` rejection [`try_target`]
     /// (Self::try_target) performs for the *first* cluster member. That
     /// member's ready/latest-start computation runs against the still
-    /// unmodified board (no scratch placements, no preemption yet), so
+    /// unmodified board (no tentative placements, no preemption yet), so
     /// every window read here is exactly what the scheduling attempt
     /// would read. The only approximations are lower bounds: a placed
     /// producer's bare finish stands in for its inter-PE arrival
@@ -435,9 +445,6 @@ impl<'a> Allocator<'a> {
     /// overflow. A `true` verdict therefore proves the attempt fails
     /// before any placement work, for every instance of `ty`.
     fn first_member_dead(&self, cluster: &Cluster, ty: PeTypeId, est_finish: &[Nanos]) -> bool {
-        if est_finish.is_empty() {
-            return false;
-        }
         match self.first_member_window(cluster, ty, est_finish) {
             Some((_, ready, latest_start)) => ready > latest_start,
             None => true,
@@ -593,24 +600,28 @@ impl<'a> Allocator<'a> {
         })
     }
 
-    /// Allocates one cluster: tries every entry of its allocation array in
-    /// cost order and commits the first that schedules with all deadlines
-    /// met.
+    /// Allocates one cluster: walks its allocation array in cost order and
+    /// commits the first entry that schedules with all deadlines met.
+    /// Each entry is judged by the pruning oracle just before it would be
+    /// tried, so entries after the commit cost nothing.
     ///
     /// # Errors
     ///
     /// [`SynthesisError::Unallocatable`] when every candidate fails.
     pub fn allocate(&mut self, cid: ClusterId) -> Result<AllocationDecision, SynthesisError> {
         let cluster = self.clustering.cluster(cid);
-        let (entries, pruned) = self.allocation_array(cid, cluster);
-        self.candidates_pruned += pruned;
-        if pruned > 0 {
-            self.options.observer.emit(|| Event::CandidatesPruned {
-                cluster: cid.index() as u64,
-                pruned: pruned as u64,
-            });
-        }
+        let entries = self.allocation_array(cid, cluster);
+        // The board every entry starts from: the oracle and each
+        // candidate's first member read the same estimate.
+        let first_est = self.estimate_graph_finishes(&self.arch, cluster.graph);
+        let mut memo = PruneMemo::default();
+        let mut pruned = 0usize;
+        let mut committed = None;
         for (target, added_cost) in entries {
+            if self.entry_pruned(cluster, target, &first_est, &mut memo) {
+                pruned += 1;
+                continue;
+            }
             if self.hooks.is_some_and(|h| h.cancelled()) {
                 return Err(SynthesisError::Cancelled);
             }
@@ -632,22 +643,24 @@ impl<'a> Allocator<'a> {
                 cluster: cid.index() as u64,
                 target: self.target_label(target),
             });
-            match self.try_target(cid, cluster, target) {
-                Ok((arch, pe, mode)) => {
-                    self.arch = arch;
+            // The candidate mutates the architecture in place and rolls
+            // itself back on rejection; it is moved out of `self` for the
+            // attempt so `try_target` can borrow the allocator shared.
+            let mut arch = std::mem::take(&mut self.arch);
+            let outcome = self.try_target(&mut arch, cid, cluster, target, &first_est);
+            self.arch = arch;
+            match outcome {
+                Ok((pe, mode)) => {
                     self.history_hash = decision_hash;
-                    let decision = AllocationDecision {
-                        pe,
-                        mode,
-                        added_cost,
-                    };
-                    self.decisions[cid.index()] = Some(decision);
-                    self.options.observer.emit(|| Event::CandidateAccepted {
-                        cluster: cid.index() as u64,
-                        target: self.target_label(target),
-                        added_cost: added_cost.amount(),
-                    });
-                    return Ok(decision);
+                    committed = Some((
+                        target,
+                        AllocationDecision {
+                            pe,
+                            mode,
+                            added_cost,
+                        },
+                    ));
+                    break;
                 }
                 Err(reason) => {
                     self.options.observer.emit(|| Event::CandidateRejected {
@@ -661,11 +674,27 @@ impl<'a> Allocator<'a> {
                 cache.record_failure(cache_key(decision_hash));
             }
         }
-        let graph = self.spec.graph(cluster.graph);
-        Err(SynthesisError::Unallocatable {
-            cluster: cid,
-            task_name: graph.task(cluster.tasks[0]).name.clone(),
-        })
+        self.candidates_pruned += pruned;
+        if pruned > 0 {
+            self.options.observer.emit(|| Event::CandidatesPruned {
+                cluster: cid.index() as u64,
+                pruned: pruned as u64,
+            });
+        }
+        let Some((target, decision)) = committed else {
+            let graph = self.spec.graph(cluster.graph);
+            return Err(SynthesisError::Unallocatable {
+                cluster: cid,
+                task_name: graph.task(cluster.tasks[0]).name.clone(),
+            });
+        };
+        self.decisions[cid.index()] = Some(decision);
+        self.options.observer.emit(|| Event::CandidateAccepted {
+            cluster: cid.index() as u64,
+            target: self.target_label(target),
+            added_cost: decision.added_cost.amount(),
+        });
+        Ok(decision)
     }
 
     /// Human-readable candidate label for the event stream. Only built
@@ -705,24 +734,44 @@ impl<'a> Allocator<'a> {
         splitmix64(h ^ splitmix64(code))
     }
 
-    /// Attempts to place `cluster` on `target` against a scratch copy of
-    /// the architecture; returns the mutated copy on success, or the
-    /// first gate the candidate failed (the [`RejectReason`] reported in
-    /// `CandidateRejected` events).
+    /// Attempts to place `cluster` on `target`, mutating `arch` in place.
+    /// On success the placements stay and the hosting `(pe, mode)` is
+    /// returned; on rejection `arch` is rolled back exactly and the first
+    /// gate the candidate failed is returned (the [`RejectReason`]
+    /// reported in `CandidateRejected` events). `first_est` is the
+    /// finish-time estimate of the cluster's graph on the board as it
+    /// stands before the attempt.
     fn try_target(
         &self,
+        arch: &mut Architecture,
         cid: ClusterId,
         cluster: &Cluster,
         target: AllocTarget,
-    ) -> Result<(Architecture, PeInstanceId, usize), RejectReason> {
-        let mut arch = self.arch.clone();
+        first_est: &[Nanos],
+    ) -> Result<(PeInstanceId, usize), RejectReason> {
+        let checkpoint = arch.checkpoint();
+        let outcome = self.place_cluster(arch, cid, cluster, target, first_est);
+        match outcome {
+            Ok(_) => arch.commit(checkpoint),
+            Err(_) => arch.rollback(checkpoint),
+        }
+        outcome
+    }
+
+    /// The body of [`try_target`](Self::try_target): places every member
+    /// and the edges it needs, books the cluster into the host, and checks
+    /// deadlines. May leave `arch` half-modified on rejection.
+    fn place_cluster(
+        &self,
+        arch: &mut Architecture,
+        cid: ClusterId,
+        cluster: &Cluster,
+        target: AllocTarget,
+        first_est: &[Nanos],
+    ) -> Result<(PeInstanceId, usize), RejectReason> {
         let (pid, mode_idx) = match target {
             AllocTarget::Existing { pe, mode } => (pe, mode),
-            AllocTarget::NewMode { pe } => {
-                let m = arch.pe(pe).modes.len();
-                arch.pe_mut(pe).modes.push(crate::arch::Mode::empty());
-                (pe, m)
-            }
+            AllocTarget::NewMode { pe } => (pe, arch.open_mode(pe)),
             AllocTarget::New { ty } => (arch.add_pe(ty), 0),
         };
         let pe_ty = self.lib.pe(arch.pe(pid).ty);
@@ -732,19 +781,26 @@ impl<'a> Allocator<'a> {
         let period = graph.period();
 
         let mut touched_graphs = vec![gid];
-        for &t in &cluster.tasks {
+        let mut later_est;
+        for (i, &t) in cluster.tasks.iter().enumerate() {
             // Estimated finish times of the cluster's graph against the
-            // current board — recomputed each step so the cluster's own
-            // placements (which may be much later than the from-scratch
-            // estimate) propagate into the ready times of edges from
-            // still-unplaced predecessors.
-            let est_finish = self.estimate_graph_finishes(&arch, gid);
+            // current board — recomputed after each placement so the
+            // cluster's own placements (which may be much later than the
+            // from-scratch estimate) propagate into the ready times of
+            // edges from still-unplaced predecessors. Nothing is placed
+            // before the first member, so it reuses `first_est`.
+            let est_finish = if i == 0 {
+                first_est
+            } else {
+                later_est = self.estimate_graph_finishes(arch, gid);
+                &later_est
+            };
             // Zero-duration tasks are recorded as 1 ns so occupancy stays
             // well-formed.
             let dur = graph
                 .task(t)
                 .exec
-                .on(pe_ty_id(&arch, pid))
+                .on(arch.pe(pid).ty)
                 .ok_or(RejectReason::NoExecutionTime)?
                 .max(Nanos::from_nanos(1));
             if dur > period {
@@ -782,7 +838,7 @@ impl<'a> Allocator<'a> {
                 let src = GlobalTaskId::new(gid, edge.from);
                 let arrival = match arch.board.window(Occupant::Task(src)) {
                     Some(w) => {
-                        let src_pe = self.pe_of_task(&arch, src).ok_or(RejectReason::Internal)?;
+                        let src_pe = self.pe_of_task(arch, src).ok_or(RejectReason::Internal)?;
                         if src_pe == pid {
                             w.finish
                         } else {
@@ -790,7 +846,7 @@ impl<'a> Allocator<'a> {
                             let geid = GlobalEdgeId::new(gid, eid);
 
                             self.place_edge(
-                                &mut arch,
+                                arch,
                                 geid,
                                 src_pe,
                                 pid,
@@ -831,7 +887,7 @@ impl<'a> Allocator<'a> {
                     Some(s) => s,
                     None if self.options.preemption => self
                         .place_with_preemption(
-                            &mut arch,
+                            arch,
                             pid,
                             gt,
                             ready,
@@ -859,7 +915,7 @@ impl<'a> Allocator<'a> {
             for (eid, edge) in graph.successors(t) {
                 let dst = GlobalTaskId::new(gid, edge.to);
                 if let Some(w) = arch.board.window(Occupant::Task(dst)) {
-                    let dst_pe = self.pe_of_task(&arch, dst).ok_or(RejectReason::Internal)?;
+                    let dst_pe = self.pe_of_task(arch, dst).ok_or(RejectReason::Internal)?;
                     if dst_pe == pid {
                         if finish > w.start {
                             return Err(RejectReason::SuccessorOverlap);
@@ -868,7 +924,7 @@ impl<'a> Allocator<'a> {
                         let geid = GlobalEdgeId::new(gid, eid);
                         let arrive = self
                             .place_edge(
-                                &mut arch, geid, pid, dst_pe, edge.bytes, finish, period, w.start,
+                                arch, geid, pid, dst_pe, edge.bytes, finish, period, w.start,
                             )
                             .ok_or(RejectReason::EdgeUnroutable)?;
                         if arrive > w.start {
@@ -880,15 +936,7 @@ impl<'a> Allocator<'a> {
         }
 
         // Commit the cluster into the instance's bookkeeping.
-        {
-            let pe = arch.pe_mut(pid);
-            pe.modes[mode_idx].clusters.push(cid);
-            if !pe.modes[mode_idx].graphs.contains(&gid) {
-                pe.modes[mode_idx].graphs.push(gid);
-            }
-            pe.modes[mode_idx].used_hw = pe.modes[mode_idx].used_hw + cluster.hw;
-            pe.memory_used += cluster.memory.total();
-        }
+        arch.assign_cluster(pid, mode_idx, cid, gid, cluster.hw, cluster.memory.total());
 
         // Multi-mode devices must remain temporally consistent: every
         // cross-image activity envelope pair needs reboot room (only
@@ -899,7 +947,7 @@ impl<'a> Allocator<'a> {
                 self.clustering,
                 self.lib,
                 self.options,
-                &arch,
+                arch,
                 pid,
             )
         {
@@ -914,7 +962,7 @@ impl<'a> Allocator<'a> {
         touched_graphs.dedup();
         for g in touched_graphs {
             let graph = self.spec.graph(g);
-            let finishes = self.estimate_graph_finishes(&arch, g);
+            let finishes = self.estimate_graph_finishes(arch, g);
             if !check_deadlines(graph, &finishes).is_empty() {
                 return Err(RejectReason::DeadlineMiss);
             }
@@ -938,7 +986,7 @@ impl<'a> Allocator<'a> {
                 }
             }
         }
-        Ok((arch, pid, mode_idx))
+        Ok((pid, mode_idx))
     }
 
     /// Preemption fallback: evict the lowest-priority software task from
@@ -974,77 +1022,108 @@ impl<'a> Allocator<'a> {
         victims.sort_by_key(|(v, _)| self.priorities[v.graph.index()][v.task.index()]);
 
         for (victim, original) in victims.into_iter().take(3) {
-            let mut scratch = arch.clone();
-            scratch.board.remove(Occupant::Task(victim));
-            let Some(start) = scratch.board.place(
-                resource,
-                Occupant::Task(gt),
+            // Each eviction is tried in place under a nested checkpoint:
+            // a failed one rolls back alone.
+            let checkpoint = arch.checkpoint();
+            match self.evict_and_place(
+                arch,
+                pid,
+                gt,
+                victim,
+                original,
                 ready,
                 dur,
                 period,
                 latest_start,
-            ) else {
-                continue;
-            };
-            // Re-place the victim with the preemption overheads charged.
-            let overhead = self.spec.constraints().preemption_overhead
-                + self
-                    .lib
-                    .pe(scratch.pe(pid).ty)
-                    .as_cpu()
-                    .map(|c| c.context_switch)
-                    .unwrap_or(Nanos::ZERO);
-            let new_dur = original.duration() + overhead;
-            let vlf = self.latest_finish[victim.graph.index()][victim.task.index()];
-            let vperiod = original.period();
-            let Some(vstart) = scratch.board.place(
-                resource,
-                Occupant::Task(victim),
-                original.start(),
-                new_dur,
-                vperiod,
-                vlf.saturating_sub(new_dur),
-            ) else {
-                continue;
-            };
-            let vfinish = vstart + new_dur;
-            // The victim's already-scheduled outgoing edges must still
-            // start after it finishes.
-            let vgraph = self.spec.graph(victim.graph);
-            let ok = vgraph.successors(victim.task).all(|(eid, _)| {
-                match scratch
-                    .board
-                    .window(Occupant::Edge(GlobalEdgeId::new(victim.graph, eid)))
-                {
-                    Some(w) => w.start >= vfinish,
-                    None => true,
+            ) {
+                Some(start) => {
+                    arch.commit(checkpoint);
+                    touched_graphs.push(victim.graph);
+                    self.options.observer.emit(|| Event::Preemption {
+                        victim: Occupant::Task(victim).to_string(),
+                        resource: resource.index() as u64,
+                    });
+                    return Some(start);
                 }
-            }) && vgraph.successors(victim.task).all(|(_, edge)| {
-                match scratch
-                    .board
-                    .window(Occupant::Task(GlobalTaskId::new(victim.graph, edge.to)))
-                {
-                    // Same-PE consumers with no edge in between.
-                    Some(w) => {
-                        w.start >= vfinish
-                            || self.pe_of_task(&scratch, GlobalTaskId::new(victim.graph, edge.to))
-                                != Some(pid)
-                    }
-                    None => true,
-                }
-            });
-            if !ok {
-                continue;
+                None => arch.rollback(checkpoint),
             }
-            *arch = scratch;
-            touched_graphs.push(victim.graph);
-            self.options.observer.emit(|| Event::Preemption {
-                victim: Occupant::Task(victim).to_string(),
-                resource: resource.index() as u64,
-            });
-            return Some(start);
         }
         None
+    }
+
+    /// One preemption attempt: removes `victim` from `pid`, places `gt`,
+    /// then re-places the victim with the preemption overheads charged.
+    /// Returns `gt`'s start, or `None` (leaving `arch` half-modified for
+    /// the caller's rollback) when any step fails or the victim's
+    /// outgoing edges and same-PE consumers would start too early.
+    #[allow(clippy::too_many_arguments)]
+    fn evict_and_place(
+        &self,
+        arch: &mut Architecture,
+        pid: PeInstanceId,
+        gt: GlobalTaskId,
+        victim: GlobalTaskId,
+        original: PeriodicInterval,
+        ready: Nanos,
+        dur: Nanos,
+        period: Nanos,
+        latest_start: Nanos,
+    ) -> Option<Nanos> {
+        let resource = arch.pe(pid).resource;
+        arch.board.remove(Occupant::Task(victim));
+        let start = arch.board.place(
+            resource,
+            Occupant::Task(gt),
+            ready,
+            dur,
+            period,
+            latest_start,
+        )?;
+        // Re-place the victim with the preemption overheads charged.
+        let overhead = self.spec.constraints().preemption_overhead
+            + self
+                .lib
+                .pe(arch.pe(pid).ty)
+                .as_cpu()
+                .map(|c| c.context_switch)
+                .unwrap_or(Nanos::ZERO);
+        let new_dur = original.duration() + overhead;
+        let vlf = self.latest_finish[victim.graph.index()][victim.task.index()];
+        let vstart = arch.board.place(
+            resource,
+            Occupant::Task(victim),
+            original.start(),
+            new_dur,
+            original.period(),
+            vlf.saturating_sub(new_dur),
+        )?;
+        let vfinish = vstart + new_dur;
+        // The victim's already-scheduled outgoing edges must still start
+        // after it finishes.
+        let vgraph = self.spec.graph(victim.graph);
+        let ok = vgraph.successors(victim.task).all(|(eid, _)| {
+            match arch
+                .board
+                .window(Occupant::Edge(GlobalEdgeId::new(victim.graph, eid)))
+            {
+                Some(w) => w.start >= vfinish,
+                None => true,
+            }
+        }) && vgraph.successors(victim.task).all(|(_, edge)| {
+            match arch
+                .board
+                .window(Occupant::Task(GlobalTaskId::new(victim.graph, edge.to)))
+            {
+                // Same-PE consumers with no edge in between.
+                Some(w) => {
+                    w.start >= vfinish
+                        || self.pe_of_task(arch, GlobalTaskId::new(victim.graph, edge.to))
+                            != Some(pid)
+                }
+                None => true,
+            }
+        });
+        ok.then_some(start)
     }
 
     /// Schedules an inter-PE edge on a link connecting `src_pe` and
@@ -1197,7 +1276,7 @@ impl<'a> Allocator<'a> {
                     }
                     if ok {
                         if let LinkOption::Extend(id, missing) = option {
-                            arch.link_mut(id).attached.push(missing);
+                            arch.attach(id, missing);
                         }
                         return Some(start + dur);
                     }
@@ -1267,12 +1346,6 @@ impl<'a> Allocator<'a> {
     }
 }
 
-/// The PE type id of an instance (helper kept free to appease borrowck in
-/// `try_target`).
-fn pe_ty_id(arch: &Architecture, pid: PeInstanceId) -> PeTypeId {
-    arch.pe(pid).ty
-}
-
 /// Finds the earliest start `>= ready` at which the link *and* every
 /// coprocessor-less endpoint CPU are simultaneously free for `dur`.
 ///
@@ -1302,4 +1375,239 @@ fn find_transfer_slot(
         t = agreed;
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    // Test code: unwraps on controlled inputs.
+    #![allow(clippy::unwrap_used)]
+
+    use std::sync::Arc;
+
+    use crusade_model::{
+        CpuAttrs, ExecutionTimes, LinkClass, LinkType, PeType, SystemConstraints, Task, TaskGraph,
+        TaskGraphBuilder,
+    };
+    use crusade_obs::{Metrics, ObserverHandle};
+
+    use super::*;
+    use crate::cluster::cluster_tasks_with;
+
+    fn json(arch: &Architecture) -> String {
+        serde_json::to_string(arch).unwrap()
+    }
+
+    fn ms(v: u64) -> Nanos {
+        Nanos::from_millis(v)
+    }
+
+    fn us(v: u64) -> Nanos {
+        Nanos::from_micros(v)
+    }
+
+    /// One CPU type and one bus; `comm_overlap: false` makes transfers
+    /// occupy both endpoint CPUs.
+    fn library(comm_overlap: bool) -> ResourceLibrary {
+        let mut lib = ResourceLibrary::new();
+        lib.add_pe(PeType::new(
+            "cpu",
+            Dollars::new(100),
+            PeClass::Cpu(CpuAttrs {
+                memory_bytes: 4 << 20,
+                context_switch: us(10),
+                comm_ports: 2,
+                comm_overlap,
+            }),
+        ));
+        lib.add_link(LinkType::new(
+            "bus",
+            Dollars::new(10),
+            LinkClass::Bus,
+            8,
+            vec![Nanos::from_nanos(300)],
+            64,
+            us(1),
+        ));
+        lib
+    }
+
+    /// A CPU-only task with a small program image, so hosting it moves
+    /// the CPU's memory bookkeeping.
+    fn cpu_task(name: &str, exec: Nanos) -> Task {
+        let mut task = Task::new(
+            name,
+            ExecutionTimes::from_entries(1, [(PeTypeId::new(0), exec)]),
+        );
+        task.memory.program = 4096;
+        task
+    }
+
+    /// A high-priority head feeding a long low-priority bulk task (the
+    /// preemption victim), under graph deadline `deadline`.
+    fn background(deadline: Nanos) -> TaskGraph {
+        let mut b = TaskGraphBuilder::new("background", ms(10));
+        let mut head = cpu_task("head", us(500));
+        head.deadline = Some(ms(1));
+        let head = b.add_task(head);
+        let bulk = b.add_task(cpu_task("bulk", ms(6)));
+        b.add_edge(head, bulk, 16);
+        b.deadline(deadline).build().unwrap()
+    }
+
+    /// A short task released in the middle of the bulk task's window.
+    fn urgent() -> TaskGraph {
+        let mut b = TaskGraphBuilder::new("urgent", ms(10));
+        b.add_task(cpu_task("alarm", us(500)));
+        b.est(ms(2)).deadline(us(1_200)).build().unwrap()
+    }
+
+    /// A task that ranks between the background head and the urgent task,
+    /// so it is placed after the bulk task on the same CPU: evicting the
+    /// bulk then removes from the middle of the timeline.
+    fn tick() -> TaskGraph {
+        let mut b = TaskGraphBuilder::new("tick", ms(10));
+        b.add_task(cpu_task("tick", us(200)));
+        b.est(ms(7)).deadline(us(800)).build().unwrap()
+    }
+
+    fn preemption_spec(graphs: Vec<TaskGraph>) -> SystemSpec {
+        SystemSpec::new(graphs).with_constraints(SystemConstraints {
+            boot_time_requirement: ms(5),
+            preemption_overhead: us(50),
+            average_link_ports: 2,
+        })
+    }
+
+    /// What one candidate attempt did.
+    struct Attempt {
+        outcome: Result<(), RejectReason>,
+        placements: u64,
+        preemptions: u64,
+    }
+
+    /// Allocates every cluster the way synthesis does, but first tries
+    /// every allocation-array entry on its own: a rejected attempt must
+    /// leave the architecture byte-identical, and so must an accepted one
+    /// once an enclosing checkpoint is rolled back.
+    fn check_every_attempt(spec: &SystemSpec, lib: &ResourceLibrary) -> Vec<Attempt> {
+        let metrics = Arc::new(Metrics::new());
+        let options = CosynOptions {
+            observer: ObserverHandle::new(metrics.clone()),
+            ..CosynOptions::default()
+        }
+        .effective();
+        let clustering = cluster_tasks_with(spec, lib, &options).unwrap();
+        let mut allocator = Allocator::new(spec, lib, &options, &clustering);
+        let mut attempts = Vec::new();
+        let ids: Vec<ClusterId> = clustering.clusters().map(|(id, _)| id).collect();
+        for cid in ids {
+            let cluster = clustering.cluster(cid);
+            let first_est = allocator.estimate_graph_finishes(&allocator.arch, cluster.graph);
+            for (target, _) in allocator.allocation_array(cid, cluster) {
+                let before = json(&allocator.arch);
+                let counts = metrics.snapshot();
+                let mut arch = allocator.arch.clone();
+                let outer = arch.checkpoint();
+                let outcome = allocator.try_target(&mut arch, cid, cluster, target, &first_est);
+                if outcome.is_err() {
+                    assert_eq!(json(&arch), before, "rejected {target:?} left a trace");
+                }
+                arch.rollback(outer);
+                assert_eq!(json(&arch), before, "rolled-back {target:?} left a trace");
+                let after = metrics.snapshot();
+                attempts.push(Attempt {
+                    outcome: outcome.map(|_| ()),
+                    placements: after.placements - counts.placements,
+                    preemptions: after.preemptions - counts.preemptions,
+                });
+            }
+            allocator.allocate(cid).unwrap();
+        }
+        attempts
+    }
+
+    #[test]
+    fn rejected_preemption_fallback_rolls_back_exactly() {
+        // Under an 8 ms background deadline the bulk task still ranks
+        // below the urgent one but cannot absorb being pushed behind it:
+        // the urgent task is placed in the bulk's slot, the bulk
+        // re-placement misses its latest start, and the candidate is
+        // rejected.
+        let lib = library(true);
+        let spec = preemption_spec(vec![background(ms(8)), tick(), urgent()]);
+        let attempts = check_every_attempt(&spec, &lib);
+        assert!(
+            attempts
+                .iter()
+                .any(|a| a.outcome == Err(RejectReason::NoCpuSlot)
+                    && a.placements > 0
+                    && a.preemptions == 0),
+            "no rejected preemption attempt was exercised"
+        );
+    }
+
+    #[test]
+    fn committed_preemption_rolls_back_under_an_enclosing_checkpoint() {
+        let lib = library(true);
+        let spec = preemption_spec(vec![background(ms(10)), urgent()]);
+        let attempts = check_every_attempt(&spec, &lib);
+        assert!(
+            attempts
+                .iter()
+                .any(|a| a.outcome.is_ok() && a.preemptions > 0),
+            "no accepted preemption attempt was exercised"
+        );
+    }
+
+    #[test]
+    fn created_then_retired_link_rolls_back_exactly() {
+        // Two tasks on two CPUs without communication coprocessors; the
+        // sender's CPU is busy for the whole period, so every fresh link
+        // is created, finds no transfer slot, and is retired.
+        let lib = library(false);
+        let mut b = TaskGraphBuilder::new("pair", ms(10));
+        let a = b.add_task(cpu_task("a", ms(10)));
+        let z = b.add_task(cpu_task("z", ms(1)));
+        b.add_edge(a, z, 64);
+        let spec = SystemSpec::new(vec![b.deadline(ms(10)).build().unwrap()]);
+        let options = CosynOptions::default().effective();
+        let clustering = cluster_tasks_with(&spec, &lib, &options).unwrap();
+        let allocator = Allocator::new(&spec, &lib, &options, &clustering);
+        let gid = GraphId::new(0);
+        let mut arch = Architecture::new();
+        let src = arch.add_pe(PeTypeId::new(0));
+        let dst = arch.add_pe(PeTypeId::new(0));
+        let task_a = Occupant::Task(GlobalTaskId::new(gid, a));
+        let period = ms(10);
+        arch.board
+            .place(
+                arch.pe(src).resource,
+                task_a,
+                Nanos::ZERO,
+                period,
+                period,
+                Nanos::ZERO,
+            )
+            .unwrap();
+        let before = json(&arch);
+        let edge = GlobalEdgeId::new(gid, spec.graph(gid).edges().next().unwrap().0);
+
+        let place = |arch: &mut Architecture| {
+            allocator.place_edge(arch, edge, src, dst, 64, Nanos::ZERO, period, period)
+        };
+        let cp = arch.checkpoint();
+        assert_eq!(place(&mut arch), None);
+        assert!(arch.link_slots() > 0, "no link was created");
+        assert_eq!(arch.link_count(), 0, "created links must be retired");
+        arch.rollback(cp);
+        assert_eq!(json(&arch), before);
+
+        // Committed, the retired link stays in the id space — the bytes
+        // a committed candidate serializes to.
+        let cp = arch.checkpoint();
+        assert_eq!(place(&mut arch), None);
+        arch.commit(cp);
+        assert_ne!(json(&arch), before);
+        assert_eq!(arch.link_count(), 0);
+    }
 }

@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use crusade_fabric::SynthesizedInterface;
 use crusade_model::{Dollars, GraphId, HwDemand, LinkTypeId, PeTypeId, ResourceLibrary};
-use crusade_sched::{ResourceId, ScheduleBoard};
+use crusade_sched::{BoardCheckpoint, ResourceId, ScheduleBoard, UndoLog};
 
 use crate::cluster::ClusterId;
 
@@ -165,6 +165,38 @@ pub struct Architecture {
     /// The synthesised reconfiguration-controller interface, when the
     /// architecture contains multi-mode devices.
     pub interface: Option<SynthesizedInterface>,
+    /// Empty unless a checkpoint is open; never persisted.
+    #[serde(skip)]
+    undo: UndoLog<ArchUndo>,
+}
+
+/// How to revert one journaled architecture mutation.
+#[derive(Debug, Clone)]
+enum ArchUndo {
+    /// A mode was opened on this PE.
+    ModeOpened(PeInstanceId),
+    /// This link gained a port.
+    Attached(LinkInstanceId),
+    /// A cluster was booked into `pe`'s `mode`; the fields it overwrote.
+    Assigned {
+        pe: PeInstanceId,
+        mode: ModeIndex,
+        graph_added: bool,
+        used_hw: HwDemand,
+        memory_used: u64,
+    },
+}
+
+/// A restore point returned by [`Architecture::checkpoint`]; hand it back
+/// to [`rollback`](Architecture::rollback) or
+/// [`commit`](Architecture::commit).
+#[derive(Debug)]
+#[must_use = "an open checkpoint keeps recording until rolled back or committed"]
+pub(crate) struct ArchCheckpoint {
+    board: BoardCheckpoint,
+    mark: usize,
+    pes: usize,
+    links: usize,
 }
 
 impl Architecture {
@@ -198,6 +230,111 @@ impl Architecture {
             retired: false,
         });
         id
+    }
+
+    /// Opens a checkpoint on the architecture and its board (see
+    /// [`ScheduleBoard::checkpoint`]). Until it is rolled back or
+    /// committed, rollback undoes: board placements and removals, PE and
+    /// link instantiation, and the journaled mutators
+    /// [`open_mode`](Self::open_mode), [`attach`](Self::attach) and
+    /// [`assign_cluster`](Self::assign_cluster). Changes made through
+    /// [`pe_mut`](Self::pe_mut)/[`link_mut`](Self::link_mut) are journaled
+    /// only by instance creation: they may touch instances created after
+    /// the checkpoint, which rollback drops whole.
+    pub(crate) fn checkpoint(&mut self) -> ArchCheckpoint {
+        ArchCheckpoint {
+            board: self.board.checkpoint(),
+            mark: self.undo.open(),
+            pes: self.pes.len(),
+            links: self.links.len(),
+        }
+    }
+
+    /// Restores the architecture to `checkpoint` exactly: serializing it
+    /// afterwards yields the same bytes as before the checkpoint.
+    pub(crate) fn rollback(&mut self, checkpoint: ArchCheckpoint) {
+        while let Some(entry) = self.undo.pop_after(checkpoint.mark) {
+            match entry {
+                ArchUndo::ModeOpened(pe) => {
+                    self.pes[pe.index()].modes.pop();
+                }
+                ArchUndo::Attached(link) => {
+                    self.links[link.index()].attached.pop();
+                }
+                ArchUndo::Assigned {
+                    pe,
+                    mode,
+                    graph_added,
+                    used_hw,
+                    memory_used,
+                } => {
+                    let inst = &mut self.pes[pe.index()];
+                    let m = &mut inst.modes[mode];
+                    m.clusters.pop();
+                    if graph_added {
+                        m.graphs.pop();
+                    }
+                    m.used_hw = used_hw;
+                    inst.memory_used = memory_used;
+                }
+            }
+        }
+        self.pes.truncate(checkpoint.pes);
+        self.links.truncate(checkpoint.links);
+        self.undo.close();
+        self.board.rollback(checkpoint.board);
+    }
+
+    /// Keeps every change since `checkpoint` (see
+    /// [`ScheduleBoard::commit`]).
+    pub(crate) fn commit(&mut self, checkpoint: ArchCheckpoint) {
+        self.undo.close();
+        self.board.commit(checkpoint.board);
+    }
+
+    /// Opens a fresh, empty configuration image on `pe` and returns its
+    /// index. Journaled.
+    pub(crate) fn open_mode(&mut self, pe: PeInstanceId) -> ModeIndex {
+        self.undo.record(|| ArchUndo::ModeOpened(pe));
+        let modes = &mut self.pes[pe.index()].modes;
+        modes.push(Mode::empty());
+        modes.len() - 1
+    }
+
+    /// Attaches `pe` to a port of `link`. Journaled.
+    pub(crate) fn attach(&mut self, link: LinkInstanceId, pe: PeInstanceId) {
+        self.undo.record(|| ArchUndo::Attached(link));
+        self.links[link.index()].attached.push(pe);
+    }
+
+    /// Books cluster `cid` of graph `graph` into `pe`'s `mode`, adding its
+    /// hardware demand to the mode and its memory to the instance.
+    /// Journaled.
+    pub(crate) fn assign_cluster(
+        &mut self,
+        pe: PeInstanceId,
+        mode: ModeIndex,
+        cid: ClusterId,
+        graph: GraphId,
+        hw: HwDemand,
+        memory: u64,
+    ) {
+        let inst = &mut self.pes[pe.index()];
+        let m = &mut inst.modes[mode];
+        let graph_added = !m.graphs.contains(&graph);
+        self.undo.record(|| ArchUndo::Assigned {
+            pe,
+            mode,
+            graph_added,
+            used_hw: m.used_hw,
+            memory_used: inst.memory_used,
+        });
+        m.clusters.push(cid);
+        if graph_added {
+            m.graphs.push(graph);
+        }
+        m.used_hw = m.used_hw + hw;
+        inst.memory_used += memory;
     }
 
     /// Accesses a PE instance.

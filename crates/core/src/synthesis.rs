@@ -46,7 +46,10 @@ pub struct SynthesisReport {
     /// Allocation candidates actually evaluated (scheduling attempted).
     pub candidates_tried: usize,
     /// Allocation candidates skipped by the static pruning oracle
-    /// ([`CosynOptions::pruning`]) without any scheduling work.
+    /// ([`CosynOptions::pruning`]) without any scheduling work. The
+    /// oracle judges each allocation-array entry only when the allocator
+    /// reaches it, so this counts the entries skipped *before* each
+    /// cluster's commit; entries after the commit are never judged.
     pub candidates_pruned: usize,
 }
 

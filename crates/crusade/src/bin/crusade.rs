@@ -1,7 +1,8 @@
 //! The CRUSADE command-line interface.
 //!
 //! ```text
-//! crusade synth <spec.json> [--no-reconfig]   co-synthesize a JSON specification
+//! crusade synth <spec.json|name> [--no-reconfig]
+//!                                             co-synthesize a specification
 //! crusade upgrade <old.json> <new.json>       can the new spec ship as firmware?
 //! crusade example <name> [--no-reconfig]      run a built-in paper benchmark
 //! crusade sample <path.json>                  write a sample specification file
@@ -80,7 +81,7 @@ const EXIT_ERRORS: u8 = 2;
 const USAGE: &str = "usage: crusade <command> ...
 
 commands:
-  synth <spec.json> [--no-reconfig] [--metrics]
+  synth <spec.json|name> [--no-reconfig] [--metrics]
                                                co-synthesize a specification
   upgrade <old.json> <new.json>                can the new spec ship as firmware?
   example <name> [--no-reconfig]               run a built-in paper benchmark
@@ -151,19 +152,21 @@ fn options(args: &[String]) -> CosynOptions {
 }
 
 fn cmd_synth(args: &[String]) -> Result<u8, String> {
-    let path = args.first().ok_or("usage: crusade synth <spec.json>")?;
-    let file = load(path)?;
+    let arg = args
+        .first()
+        .ok_or("usage: crusade synth <spec.json|name>")?;
+    let (library, spec) = load_or_example(arg)?;
     let mut opts = options(args);
     let metrics = args.iter().any(|a| a == "--metrics").then(|| {
         let metrics = std::sync::Arc::new(crusade::obs::Metrics::new());
         opts = opts.clone().with_observer(metrics.clone());
         metrics
     });
-    let result = CoSynthesis::new(&file.spec, &file.library)
+    let result = CoSynthesis::new(&spec, &library)
         .with_options(opts)
         .run()
         .map_err(|e| e.to_string())?;
-    print!("{}", describe(&result, &file.spec, &file.library));
+    print!("{}", describe(&result, &spec, &library));
     if let Some(metrics) = metrics {
         println!(
             "{}",

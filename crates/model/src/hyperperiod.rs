@@ -17,12 +17,28 @@ use crate::{Nanos, ValidateSpecError};
 /// ```
 pub fn gcd(a: Nanos, b: Nanos) -> Nanos {
     let (mut a, mut b) = (a.as_nanos(), b.as_nanos());
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
+    // Equal periods are the common case on a schedule board.
+    if a == b || b == 0 {
+        return Nanos::from_nanos(a);
     }
-    Nanos::from_nanos(a)
+    if a == 0 {
+        return Nanos::from_nanos(b);
+    }
+    // Binary (Stein's) algorithm: shifts and subtractions instead of the
+    // 64-bit divisions of Euclid's, which dominate the collision checks
+    // of every timeline search.
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return Nanos::from_nanos(a << shift);
+        }
+    }
 }
 
 /// Least common multiple of two nanosecond quantities.

@@ -145,11 +145,15 @@ pub enum Event {
         /// First gate the candidate failed.
         reason: RejectReason,
     },
-    /// The pruning oracle removed candidates before scheduling.
+    /// The pruning oracle skipped candidates without scheduling them.
+    /// Emitted once per cluster, after its allocation array was walked
+    /// (just before `CandidateAccepted`, or last when nothing fits), and
+    /// only when the count is non-zero.
     CandidatesPruned {
         /// Cluster being allocated.
         cluster: u64,
-        /// Number of allocation-array entries pruned.
+        /// Allocation-array entries skipped before the commit (entries
+        /// after it are never judged).
         pruned: u64,
     },
     /// A shared-cache lookup proved this candidate a known failure.
@@ -158,8 +162,8 @@ pub enum Event {
         cluster: u64,
     },
     /// A task or transfer was placed on a schedule-board timeline.
-    /// Emitted for *every* attempt, including scratch boards that are
-    /// later discarded — the per-attempt stream is the point.
+    /// Emitted for *every* attempt, including placements a rejected
+    /// candidate later rolls back — the per-attempt stream is the point.
     Placement {
         /// Occupant placed (task instance or edge transfer).
         occupant: String,

@@ -141,7 +141,7 @@ pub struct MetricsSnapshot {
     /// `cache_hits / (cache_hits + attempts)`; 0 when nothing was looked
     /// up.
     pub cache_hit_rate: f64,
-    /// Timeline placements, including discarded scratch attempts.
+    /// Timeline placements, including rolled-back candidate attempts.
     pub placements: u64,
     /// Preemption displacements.
     pub preemptions: u64,

@@ -2,9 +2,10 @@
 //!
 //! Co-synthesis builds the schedule *incrementally*: each time the inner
 //! loop tries an allocation, the new cluster's tasks and edges are placed
-//! on the board; if the allocation is rejected the placements are removed
-//! again. The board maps opaque resource ids (assigned by the architecture
-//! model in `crusade-core`) to [`Timeline`]s and keeps a reverse index from
+//! on the board; if the allocation is rejected the placements are rolled
+//! back to a [`checkpoint`](ScheduleBoard::checkpoint). The board maps
+//! opaque resource ids (assigned by the architecture model in
+//! `crusade-core`) to [`Timeline`]s and keeps a reverse index from
 //! occupant to placement for O(1) window lookups.
 
 use std::collections::BTreeMap;
@@ -14,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use crusade_model::Nanos;
 use crusade_obs::{Event, ObserverHandle};
 
-use crate::{Occupant, PeriodicInterval, Timeline, Window};
+use crate::{Occupant, PeriodicInterval, Placed, Timeline, UndoLog, Window};
 
 /// Identifies one schedulable resource (a PE mode's execution engine or a
 /// link) on a [`ScheduleBoard`].
@@ -78,6 +79,35 @@ pub struct ScheduleBoard {
     // Disabled by default; serializes as `null` and deserializes back to
     // disabled, so persisted boards stay pure data.
     observer: ObserverHandle,
+    // Empty unless a checkpoint is open; never persisted.
+    #[serde(skip)]
+    undo: UndoLog<BoardUndo>,
+}
+
+/// How to revert one board mutation.
+#[derive(Debug, Clone)]
+enum BoardUndo {
+    /// `occupant` was appended to `resource`'s timeline.
+    Placed {
+        occupant: Occupant,
+        resource: ResourceId,
+    },
+    /// `placed` was removed from position `at` of `resource`'s timeline.
+    Removed {
+        resource: ResourceId,
+        at: usize,
+        placed: Placed,
+    },
+}
+
+/// A restore point returned by [`ScheduleBoard::checkpoint`]; hand it
+/// back to [`rollback`](ScheduleBoard::rollback) or
+/// [`commit`](ScheduleBoard::commit).
+#[derive(Debug)]
+#[must_use = "an open checkpoint keeps recording until rolled back or committed"]
+pub struct BoardCheckpoint {
+    mark: usize,
+    resources: usize,
 }
 
 impl ScheduleBoard {
@@ -88,10 +118,56 @@ impl ScheduleBoard {
 
     /// Installs (or clears) the structured-event observer. Every
     /// subsequent [`place`](Self::place) and [`record`](Self::record) —
-    /// including ones on scratch clones of this board, which share the
-    /// handle — emits a `Placement` event with the slot that was chosen.
+    /// including ones a later [`rollback`](Self::rollback) reverts (which
+    /// itself emits nothing) and ones on clones of this board, which share
+    /// the handle — emits a `Placement` event with the slot that was
+    /// chosen.
     pub fn set_observer(&mut self, observer: ObserverHandle) {
         self.observer = observer;
+    }
+
+    /// Opens a checkpoint: until it is rolled back or committed, every
+    /// `place`, `record`, `remove` and `add_resource` is logged so that
+    /// [`rollback`](Self::rollback) can restore the board exactly — each
+    /// timeline's placement order included. Checkpoints nest.
+    pub fn checkpoint(&mut self) -> BoardCheckpoint {
+        BoardCheckpoint {
+            mark: self.undo.open(),
+            resources: self.timelines.len(),
+        }
+    }
+
+    /// Reverts every mutation since `checkpoint`, newest first, and drops
+    /// the resources registered after it. Emits no observer events.
+    pub fn rollback(&mut self, checkpoint: BoardCheckpoint) {
+        while let Some(entry) = self.undo.pop_after(checkpoint.mark) {
+            match entry {
+                BoardUndo::Placed { occupant, resource } => {
+                    self.index.remove(&occupant);
+                    let popped = self.timelines[resource.index()].pop();
+                    debug_assert_eq!(popped.map(|p| p.occupant), Some(occupant));
+                }
+                BoardUndo::Removed {
+                    resource,
+                    at,
+                    placed,
+                } => {
+                    self.index
+                        .insert(placed.occupant, (resource, placed.interval));
+                    self.timelines[resource.index()].restore(at, placed);
+                }
+            }
+        }
+        self.timelines.truncate(checkpoint.resources);
+        self.undo.close();
+    }
+
+    /// Keeps every mutation since `checkpoint`. Inside an enclosing
+    /// checkpoint they stay logged, so the enclosing rollback still
+    /// reverts them.
+    pub fn commit(&mut self, checkpoint: BoardCheckpoint) {
+        debug_assert!(checkpoint.resources <= self.timelines.len());
+        self.undo.close();
     }
 
     /// Registers a new resource and returns its id.
@@ -142,6 +218,8 @@ impl ScheduleBoard {
             occupant,
             (resource, PeriodicInterval::new(start, duration, period)),
         );
+        self.undo
+            .record(|| BoardUndo::Placed { occupant, resource });
         self.observer.emit(|| Event::Placement {
             occupant: occupant.to_string(),
             resource: resource.index() as u64,
@@ -181,6 +259,8 @@ impl ScheduleBoard {
         );
         self.timelines[resource.index()].record(occupant, interval);
         self.index.insert(occupant, (resource, interval));
+        self.undo
+            .record(|| BoardUndo::Placed { occupant, resource });
         self.observer.emit(|| Event::Placement {
             occupant: occupant.to_string(),
             resource: resource.index() as u64,
@@ -193,13 +273,18 @@ impl ScheduleBoard {
 
     /// Removes an occupant's placement; returns `true` if it was placed.
     pub fn remove(&mut self, occupant: Occupant) -> bool {
-        match self.index.remove(&occupant) {
-            Some((resource, _)) => {
-                self.timelines[resource.index()].remove(occupant);
-                true
-            }
-            None => false,
+        let Some((resource, _)) = self.index.remove(&occupant) else {
+            return false;
+        };
+        // The index admits one placement per occupant per board.
+        if let Some((at, placed)) = self.timelines[resource.index()].remove(occupant) {
+            self.undo.record(|| BoardUndo::Removed {
+                resource,
+                at,
+                placed,
+            });
         }
+        true
     }
 
     /// The copy-0 window of a placed occupant.
@@ -323,5 +408,97 @@ mod tests {
         );
         assert_eq!(b.window(occ(1)), None);
         assert_eq!(b.placement_count(), 1);
+    }
+
+    type Snapshot = (Vec<Timeline>, Vec<(Occupant, ResourceId, PeriodicInterval)>);
+
+    /// Every timeline (in placement order) and the whole occupant index.
+    fn snapshot(b: &ScheduleBoard) -> Snapshot {
+        let timelines = (0..b.resource_count())
+            .map(|r| b.timeline(ResourceId::new(r)).clone())
+            .collect();
+        let index = b.placements().map(|(o, r, iv)| (o, r, *iv)).collect();
+        (timelines, index)
+    }
+
+    /// A CPU with three placements and a spatial resource with one.
+    fn populated() -> (ScheduleBoard, ResourceId, ResourceId) {
+        let mut b = ScheduleBoard::new();
+        let cpu = b.add_resource();
+        let hw = b.add_resource();
+        for i in 0..3 {
+            b.place(cpu, occ(i), ns(0), ns(10), ns(100), Nanos::MAX)
+                .unwrap();
+        }
+        b.record(hw, occ(3), PeriodicInterval::new(ns(5), ns(20), ns(100)));
+        (b, cpu, hw)
+    }
+
+    #[test]
+    fn rollback_restores_timeline_order_and_index() {
+        let (mut b, cpu, hw) = populated();
+        let before = snapshot(&b);
+        let cp = b.checkpoint();
+        // Remove from the middle: a naive re-append would reorder.
+        assert!(b.remove(occ(1)));
+        b.place(cpu, occ(4), ns(0), ns(10), ns(100), Nanos::MAX)
+            .unwrap();
+        b.record(hw, occ(5), PeriodicInterval::new(ns(0), ns(30), ns(100)));
+        assert!(b.remove(occ(3)));
+        let fresh = b.add_resource();
+        b.place(fresh, occ(6), ns(0), ns(10), ns(100), Nanos::MAX)
+            .unwrap();
+        // Re-placing a removed occupant lands elsewhere, later in order.
+        b.place(cpu, occ(1), ns(50), ns(10), ns(100), Nanos::MAX)
+            .unwrap();
+        assert_ne!(snapshot(&b), before);
+        b.rollback(cp);
+        assert_eq!(snapshot(&b), before);
+        assert_eq!(b.resource_count(), 2);
+    }
+
+    #[test]
+    fn nested_checkpoints_roll_back_independently() {
+        let (mut b, cpu, _) = populated();
+        let before = snapshot(&b);
+        let outer = b.checkpoint();
+        b.place(cpu, occ(4), ns(0), ns(10), ns(100), Nanos::MAX)
+            .unwrap();
+        let with_4 = snapshot(&b);
+
+        // A rejected inner attempt: evict a victim, place, roll back.
+        let inner = b.checkpoint();
+        assert!(b.remove(occ(0)));
+        b.place(cpu, occ(5), ns(0), ns(10), ns(100), Nanos::MAX)
+            .unwrap();
+        b.rollback(inner);
+        assert_eq!(snapshot(&b), with_4);
+
+        // An accepted inner attempt stays logged for the outer rollback.
+        let inner = b.checkpoint();
+        assert!(b.remove(occ(2)));
+        b.place(cpu, occ(2), ns(60), ns(10), ns(100), Nanos::MAX)
+            .unwrap();
+        b.commit(inner);
+        assert_ne!(snapshot(&b), with_4);
+
+        b.rollback(outer);
+        assert_eq!(snapshot(&b), before);
+    }
+
+    #[test]
+    fn committed_mutations_are_permanent() {
+        let (mut b, cpu, _) = populated();
+        let cp = b.checkpoint();
+        b.place(cpu, occ(4), ns(0), ns(10), ns(100), Nanos::MAX)
+            .unwrap();
+        b.commit(cp);
+        let committed = snapshot(&b);
+        // A later checkpoint only reverts what happened after it.
+        let cp = b.checkpoint();
+        assert!(b.remove(occ(4)));
+        b.rollback(cp);
+        assert_eq!(snapshot(&b), committed);
+        assert!(b.window(occ(4)).is_some());
     }
 }

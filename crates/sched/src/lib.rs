@@ -12,6 +12,9 @@
 //!   [`ScheduleBoard`]) — exact O(1) collision arithmetic between
 //!   periodically repeating busy intervals, the engine behind first-fit
 //!   static scheduling with mixed rates.
+//! * **Checkpoints** ([`ScheduleBoard::checkpoint`], [`UndoLog`]) —
+//!   tentative placements made in place and rolled back exactly when an
+//!   allocation candidate is rejected.
 //! * **Finish-time estimation** ([`estimate_finish_times`],
 //!   [`check_deadlines`]) — the longest-path performance-evaluation step
 //!   used by the inner loop of co-synthesis.
@@ -34,9 +37,10 @@ mod occupant;
 mod periodic;
 mod priority;
 mod timeline;
+mod undo;
 
 pub use association::{AssociationArray, AssociationEntry};
-pub use board::{ResourceId, ScheduleBoard};
+pub use board::{BoardCheckpoint, ResourceId, ScheduleBoard};
 pub use finish::{
     check_deadlines, estimate_finish_times, latest_finish_times, DeadlineMiss, Window,
 };
@@ -44,3 +48,4 @@ pub use occupant::Occupant;
 pub use periodic::PeriodicInterval;
 pub use priority::{initial_priority_levels, priority_levels};
 pub use timeline::{Placed, Timeline};
+pub use undo::UndoLog;

@@ -97,10 +97,7 @@ impl PeriodicInterval {
             // The two patterns cannot avoid each other at all.
             return true;
         }
-        let r = signed_mod(
-            other.start.as_nanos() as i128 - self.start.as_nanos() as i128,
-            g_ns,
-        );
+        let r = sub_mod(other.start.as_nanos(), self.start.as_nanos(), g_ns);
         r < d || g_ns - r < d2
     }
 
@@ -141,7 +138,7 @@ impl PeriodicInterval {
         // x ≥ 0 with r(from + x) ∉ collision region, where
         // r(from + x) = (r0 − x) mod g and the clear region is
         // [d, g − d2].
-        let r0 = signed_mod(other.start.as_nanos() as i128 - from.as_nanos() as i128, g);
+        let r0 = sub_mod(other.start.as_nanos(), from.as_nanos(), g);
         debug_assert!(r0 < d || g - r0 < d2);
         let x = if r0 > g - d2 {
             // Decrease r down to the top of the clear region, g − d2.
@@ -154,13 +151,14 @@ impl PeriodicInterval {
     }
 }
 
-/// `v mod m` with a non-negative result, for possibly-negative `v`.
-fn signed_mod(v: i128, m: u64) -> u64 {
-    let m = m as i128;
-    // The double-mod result is in [0, m), which fits u64 by construction.
-    #[allow(clippy::cast_possible_truncation)]
-    {
-        (((v % m) + m) % m) as u64
+/// `(a − b) mod m` in `[0, m)`, without leaving `u64`.
+#[inline]
+fn sub_mod(a: u64, b: u64, m: u64) -> u64 {
+    let (a, b) = (a % m, b % m);
+    if a >= b {
+        a - b
+    } else {
+        a + (m - b)
     }
 }
 
@@ -174,6 +172,24 @@ mod tests {
             Nanos::from_nanos(dur),
             Nanos::from_nanos(period),
         )
+    }
+
+    #[test]
+    fn sub_mod_matches_signed_arithmetic() {
+        let max = u64::MAX;
+        for (a, b, m) in [
+            (0, 0, 1),
+            (5, 7, 3),
+            (7, 5, 3),
+            (max, 0, 97),
+            (0, max, 97),
+            (max - 1, max, max),
+            (max, max - 1, 1 << 40),
+        ] {
+            let m128 = i128::from(m);
+            let want = ((i128::from(a) - i128::from(b)) % m128 + m128) % m128;
+            assert_eq!(i128::from(sub_mod(a, b, m)), want, "({a} - {b}) mod {m}");
+        }
     }
 
     #[test]

@@ -175,13 +175,23 @@ impl Timeline {
         self.placed.push(Placed { occupant, interval });
     }
 
-    /// Removes every occupancy owned by `occupant`, returning how many
-    /// were removed. Used when a tentative allocation is rolled back or a
-    /// victim is preempted and re-placed.
-    pub fn remove(&mut self, occupant: Occupant) -> usize {
-        let before = self.placed.len();
-        self.placed.retain(|p| p.occupant != occupant);
-        before - self.placed.len()
+    /// Removes `occupant`'s first placement (a victim is preempted and
+    /// re-placed) and returns it with its position in placement order, so
+    /// a board rollback can put it back exactly.
+    pub fn remove(&mut self, occupant: Occupant) -> Option<(usize, Placed)> {
+        let at = self.placed.iter().position(|p| p.occupant == occupant)?;
+        Some((at, self.placed.remove(at)))
+    }
+
+    /// Puts a placement back at position `at` (the inverse of
+    /// [`remove`](Self::remove)).
+    pub(crate) fn restore(&mut self, at: usize, placed: Placed) {
+        self.placed.insert(at, placed);
+    }
+
+    /// Drops the newest placement (the inverse of `place`/`record`).
+    pub(crate) fn pop(&mut self) -> Option<Placed> {
+        self.placed.pop()
     }
 
     /// The fraction of one hyperperiod this timeline is busy, given the
@@ -267,12 +277,12 @@ mod tests {
         tl.place(occ(0), ns(0), ns(60), ns(100), Nanos::MAX)
             .unwrap();
         assert_eq!(tl.place(occ(1), ns(0), ns(60), ns(100), Nanos::MAX), None);
-        assert_eq!(tl.remove(occ(0)), 1);
+        assert!(tl.remove(occ(0)).is_some());
         assert_eq!(
             tl.place(occ(1), ns(0), ns(60), ns(100), Nanos::MAX),
             Some(ns(0))
         );
-        assert_eq!(tl.remove(occ(9)), 0);
+        assert_eq!(tl.remove(occ(9)), None);
     }
 
     #[test]

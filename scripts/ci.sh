@@ -2,8 +2,9 @@
 # The full local CI gate: build, tests, lints, formatting.
 #
 # Usage: scripts/ci.sh [--full]
-#   --full   additionally runs the ignored eight-example audit sweep and
-#            the 104-scenario fault-injection campaign (minutes, release).
+#   --full   additionally runs the ignored eight-example audit sweep, the
+#            104-scenario fault-injection campaign, the bench soaks and the
+#            repository benchmark's self-test (minutes, release).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -124,6 +125,9 @@ if [[ "${1:-}" == "--full" ]]; then
     echo "==> schedulability sweep grid (5 utilizations x 3 tightness x 10 seeds)"
     cargo run --release -q -p crusade-bench --bin sweep
     cargo test --release -q -p crusade --test bench_artifacts sweep
+    echo "==> repository benchmark self-test (gen-sweep, seed 1: allocator counters repeat)"
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload gen-sweep --seed 1 --seconds 10 --self-test
     echo "==> line-coverage ratchet (crates/core + crates/sched)"
     scripts/coverage.sh
 fi

@@ -2,7 +2,7 @@
 //! condition violations (synthesis of an Error-linted spec must fail, and
 //! the `lint` pre-pass rejects it up front), lint-clean specs that
 //! synthesize also audit clean, and the allocation pruning oracle never
-//! changes the synthesized architecture.
+//! changes the synthesized architecture, down to its serialized bytes.
 
 // Test code: helpers unwrap and cast freely on controlled inputs.
 #![allow(clippy::unwrap_used, clippy::cast_possible_truncation)]
@@ -45,8 +45,10 @@ proptest! {
     }
 
     /// The pruning oracle only skips provably dead candidates: with and
-    /// without it, synthesis reaches the identical architecture (and the
-    /// pruned run never explores more).
+    /// without it, synthesis reaches the identical architecture — byte
+    /// for byte once serialized — and the pruned run never explores more.
+    /// The unpruned run tries and rolls back more candidates, so equal
+    /// bytes also hold the allocator's undo log to exactness.
     #[test]
     fn pruning_preserves_the_architecture(seed in 0u64..1_000_000) {
         let lib = paper_library();
@@ -56,13 +58,14 @@ proptest! {
                 .with_options(CosynOptions { pruning, ..CosynOptions::default() })
                 .run()
                 .ok()
-                .map(|r| r.report)
+                .map(|r| (serde_json::to_string(&r.architecture).unwrap(), r.report))
         };
         match (run(false), run(true)) {
-            (Some(off), Some(on)) => {
+            (Some((off_arch, off)), Some((on_arch, on))) => {
                 prop_assert_eq!(off.pe_count, on.pe_count);
                 prop_assert_eq!(off.link_count, on.link_count);
                 prop_assert_eq!(off.cost, on.cost);
+                prop_assert!(off_arch == on_arch, "architectures serialize differently");
                 prop_assert!(on.candidates_tried <= off.candidates_tried);
             }
             (off, on) => prop_assert_eq!(off.is_some(), on.is_some()),
