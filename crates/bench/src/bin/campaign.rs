@@ -14,6 +14,7 @@
 //! the built-ins; `--spec` against an external `{library, spec}` JSON
 //! file. Exits nonzero if any scenario ends audit-dirty.
 
+use crusade_bench::{exit_usage, flag};
 use crusade_core::{CoSynthesis, CosynOptions};
 use crusade_gen::{generate_payload, GenConfig};
 use crusade_model::{ResourceLibrary, SystemSpec};
@@ -38,18 +39,11 @@ struct Target {
     seed_base: u64,
 }
 
-fn flag_str(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 /// Resolves `--gen` / `--spec` into explicit targets; defaults to the
 /// first `example_cap` built-in paper examples.
 fn targets(args: &[String], example_cap: usize) -> Vec<Target> {
     let mut targets = Vec::new();
-    if let Some(reference) = flag_str(args, "--gen") {
+    if let Some(reference) = flag::<String>(args, "--gen").unwrap_or_else(|e| exit_usage(&e)) {
         let config = match GenConfig::from_ref(&reference) {
             Some(Ok(config)) => config,
             Some(Err(e)) => {
@@ -71,7 +65,7 @@ fn targets(args: &[String], example_cap: usize) -> Vec<Target> {
             seed_base: config.seed.wrapping_mul(5),
         });
     }
-    if let Some(path) = flag_str(args, "--spec") {
+    if let Some(path) = flag::<String>(args, "--spec").unwrap_or_else(|e| exit_usage(&e)) {
         let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
             Err(e) => {
@@ -117,18 +111,14 @@ struct Tally {
     dirty: u64,
 }
 
-fn flag_value(args: &[String], flag: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seeds = flag_value(&args, "--seeds", 13) as u64;
-    let example_cap = flag_value(&args, "--examples", 8);
+    let seeds = flag(&args, "--seeds")
+        .unwrap_or_else(|e| exit_usage(&e))
+        .unwrap_or(13u64);
+    let example_cap = flag(&args, "--examples")
+        .unwrap_or_else(|e| exit_usage(&e))
+        .unwrap_or(8usize);
     let options = if args.iter().any(|a| a == "--no-reconfig") {
         CosynOptions::without_reconfiguration()
     } else {

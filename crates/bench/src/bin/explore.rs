@@ -1,25 +1,20 @@
 //! Benchmarks the parallel multi-start exploration engine against plain
 //! sequential CRUSADE on the paper's eight examples.
 //!
-//! For every selected example the run measures four configurations:
+//! For every selected example the run measures three configurations:
 //!
 //! 1. **sequential CRUSADE** — a single baseline-policy synthesis;
-//! 2. **naive portfolio** — every portfolio member synthesized and
-//!    audited one at a time with no shared state (what multi-start
-//!    looks like without this subsystem);
-//! 3. **sequential portfolio** — the exploration engine at `--jobs 1`
-//!    (shared incumbent and evaluation cache, single thread);
-//! 4. **parallel portfolio** — the engine at `--jobs N`.
+//! 2. **sequential portfolio** — the exploration engine at `--jobs 1`,
+//!    every member synthesized and audited one at a time;
+//! 3. **parallel portfolio** — the engine at `--jobs N`.
 //!
-//! It asserts that the parallel winner matches both sequential winners
-//! exactly (cost and policy id — the engine's determinism guarantee)
-//! and that the portfolio never costs more than sequential CRUSADE,
-//! then writes `BENCH_explore.json` with best cost versus sequential,
-//! wall-clock times, speedup over the naive portfolio, cache hit-rate
-//! and pruned-run counts. The host's core count is recorded with every
-//! row: on a single-core machine the parallel speedup degenerates to
-//! whatever the shared incumbent and cache save, so interpret `speedup`
-//! together with `cores`.
+//! It asserts that the parallel outcome matches the sequential one
+//! exactly (winner cost and policy id, and every member report — the
+//! engine's determinism guarantee) and that the portfolio never costs
+//! more than sequential CRUSADE, then writes `BENCH_explore.json` with
+//! best cost versus sequential, wall-clock times and the parallel
+//! speedup. The host's core count is recorded with every row: interpret
+//! `speedup` together with `cores`.
 //!
 //! ```text
 //! cargo run --release -p crusade-bench --bin explore -- [--jobs N] [--portfolio M] [--examples A,B]
@@ -27,7 +22,7 @@
 
 use std::time::Instant;
 
-use crusade_bench::json;
+use crusade_bench::{exit_usage, flag, json};
 use crusade_core::{CoSynthesis, CosynOptions};
 use crusade_explore::{explore, ExploreConfig, ExploreOutcome};
 use crusade_model::{ResourceLibrary, SystemSpec};
@@ -47,65 +42,17 @@ struct ExploreRecord {
     winner_policy: u32,
     /// Dollars saved by the portfolio over sequential CRUSADE.
     saved: u64,
-    /// Wall-clock of the naive member-at-a-time portfolio, milliseconds.
-    naive_portfolio_wall_ms: f64,
     /// Wall-clock of the engine at `--jobs 1`, milliseconds.
     sequential_portfolio_wall_ms: f64,
     /// Wall-clock of the engine at `--jobs N`, milliseconds.
     parallel_wall_ms: f64,
-    /// `naive_portfolio_wall_ms / parallel_wall_ms`.
+    /// `sequential_portfolio_wall_ms / parallel_wall_ms`.
     speedup: f64,
     /// Cores available to this run — the parallelism actually on offer.
     cores: usize,
-    /// Shared-evaluation-cache hit rate of the parallel run.
-    cache_hit_rate: f64,
-    /// Portfolio members aborted by the cost incumbent (parallel run).
-    dominated_runs: usize,
-    /// Portfolio members skipped outright by the lint lower bound
-    /// (parallel run).
-    skipped_by_bound: usize,
     /// Structured-metrics snapshot aggregated over every member of the
-    /// parallel run (schedule-dependent, like the cache statistics).
+    /// parallel run.
     metrics: crusade_obs::MetricsSnapshot,
-}
-
-fn flag_usize(args: &[String], name: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
-/// Runs every portfolio member to completion, one at a time, with no
-/// shared incumbent or cache — scripted multi-start, the baseline this
-/// subsystem replaces. Returns the audit-clean winner's (cost, policy
-/// id) and the wall-clock in milliseconds.
-fn naive_portfolio(
-    spec: &SystemSpec,
-    lib: &ResourceLibrary,
-    portfolio: usize,
-) -> (Option<(u64, u32)>, f64) {
-    let t = Instant::now();
-    let mut best: Option<(u64, u32)> = None;
-    for policy in crusade_explore::default_portfolio(portfolio) {
-        let options = CosynOptions::default().with_policy(policy.clone());
-        let Ok(result) = CoSynthesis::new(spec, lib)
-            .with_options(options.clone())
-            .run()
-        else {
-            continue;
-        };
-        if !crusade_verify::audit(spec, lib, &options.effective(), &result).is_empty() {
-            continue;
-        }
-        let key = (result.report.cost.amount(), policy.id);
-        if best.map_or(true, |b| key < b) {
-            best = Some(key);
-        }
-    }
-    (best, t.elapsed().as_secs_f64() * 1e3)
 }
 
 fn timed_explore(
@@ -129,8 +76,13 @@ fn timed_explore(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let jobs = flag_usize(&args, "--jobs", 8);
-    let portfolio = flag_usize(&args, "--portfolio", 8);
+    let usize_flag = |name: &str| -> usize {
+        flag(&args, name)
+            .unwrap_or_else(|e| exit_usage(&e))
+            .unwrap_or(8)
+            .max(1)
+    };
+    let (jobs, portfolio) = (usize_flag("--jobs"), usize_flag("--portfolio"));
     let selected: Option<Vec<String>> = args
         .iter()
         .position(|a| a == "--examples")
@@ -144,19 +96,8 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     println!("multi-start exploration: portfolio {portfolio}, {jobs} job(s), {cores} core(s)\n");
     println!(
-        "{:<8} {:>6} | {:>9} {:>9} {:>7} | {:>9} {:>9} {:>9} {:>8} | {:>6} {:>5} {:>5}",
-        "example",
-        "tasks",
-        "seq cost",
-        "best",
-        "policy",
-        "naive(ms)",
-        "eng1(ms)",
-        "par(ms)",
-        "speedup",
-        "cache%",
-        "dom",
-        "skip"
+        "{:<8} {:>6} | {:>9} {:>9} {:>7} | {:>9} {:>9} {:>8}",
+        "example", "tasks", "seq cost", "best", "policy", "eng1(ms)", "par(ms)", "speedup"
     );
 
     let lib = paper_library();
@@ -180,7 +121,6 @@ fn main() {
                 continue;
             }
         };
-        let (naive_best, naive_ms) = naive_portfolio(&spec, &lib.lib, portfolio);
         let (seq_pf, seq_pf_ms) =
             timed_explore(&spec, &lib.lib, portfolio, 1, CosynOptions::default());
         let metrics = std::sync::Arc::new(crusade_obs::Metrics::new());
@@ -192,8 +132,10 @@ fn main() {
             CosynOptions::default().with_observer(metrics.clone()),
         );
 
-        // The engine's determinism guarantee: same winner at any job count.
+        // The engine's determinism guarantee: same winner and member
+        // reports at any job count.
         if (par.winner.report.cost, par.policy.id) != (seq_pf.winner.report.cost, seq_pf.policy.id)
+            || par.members != seq_pf.members
         {
             println!(
                 "{:<8} NONDETERMINISTIC: jobs=1 policy #{} {} vs jobs={jobs} policy #{} {}",
@@ -202,18 +144,6 @@ fn main() {
                 seq_pf.winner.report.cost,
                 par.policy.id,
                 par.winner.report.cost,
-            );
-            failed = true;
-            continue;
-        }
-        // Incumbent aborts and cache skips must never change the winner
-        // the naive member-at-a-time portfolio would have picked.
-        if naive_best != Some((par.winner.report.cost.amount(), par.policy.id)) {
-            println!(
-                "{:<8} WINNER DRIFT: naive portfolio picked {naive_best:?}, engine picked ({}, {})",
-                ex.name,
-                par.winner.report.cost.amount(),
-                par.policy.id,
             );
             failed = true;
             continue;
@@ -229,7 +159,7 @@ fn main() {
             continue;
         }
 
-        let speedup = naive_ms / par_ms.max(1e-9);
+        let speedup = seq_pf_ms / par_ms.max(1e-9);
         let record = ExploreRecord {
             example: ex.name.to_string(),
             tasks: spec.task_count(),
@@ -241,30 +171,22 @@ fn main() {
                 .cost
                 .saturating_sub(par.winner.report.cost)
                 .amount(),
-            naive_portfolio_wall_ms: naive_ms,
             sequential_portfolio_wall_ms: seq_pf_ms,
             parallel_wall_ms: par_ms,
             speedup,
             cores,
-            cache_hit_rate: par.stats.cache_hit_rate(),
-            dominated_runs: par.stats.dominated,
-            skipped_by_bound: par.stats.skipped_by_bound,
             metrics: metrics.snapshot(),
         };
         println!(
-            "{:<8} {:>6} | {:>8}$ {:>8}$ {:>7} | {:>9.0} {:>9.0} {:>9.0} {:>7.2}x | {:>5.1}% {:>5} {:>5}",
+            "{:<8} {:>6} | {:>8}$ {:>8}$ {:>7} | {:>9.0} {:>9.0} {:>7.2}x",
             record.example,
             record.tasks,
             record.sequential_cost,
             record.best_cost,
             record.winner_policy,
-            record.naive_portfolio_wall_ms,
             record.sequential_portfolio_wall_ms,
             record.parallel_wall_ms,
             record.speedup,
-            record.cache_hit_rate * 100.0,
-            record.dominated_runs,
-            record.skipped_by_bound,
         );
         records.push(record);
     }

@@ -31,7 +31,7 @@
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use crusade_bench::json;
+use crusade_bench::{exit_usage, flag, json};
 use crusade_explore::{explore, ExploreConfig};
 use crusade_model::{GraphId, Nanos, SpecDelta};
 use crusade_serve::{JobResult, ServeClient, ServeConfig, ServerHandle, SpecPayload};
@@ -97,15 +97,6 @@ struct CampaignRecord {
     resyn_warm: bool,
 }
 
-fn flag_usize(args: &[String], name: &str, default: usize) -> usize {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-        .max(1)
-}
-
 fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {
         0.0
@@ -117,10 +108,16 @@ fn mean(values: &[f64]) -> f64 {
 #[allow(clippy::too_many_lines)]
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let clients = flag_usize(&args, "--clients", 4);
-    let portfolio = flag_usize(&args, "--portfolio", 8);
+    let usize_flag = |name: &str, default: usize| -> usize {
+        flag(&args, name)
+            .unwrap_or_else(|e| exit_usage(&e))
+            .unwrap_or(default)
+            .max(1)
+    };
+    let clients = usize_flag("--clients", 4);
+    let portfolio = usize_flag("--portfolio", 8);
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    let workers = flag_usize(&args, "--workers", cores.clamp(1, 4));
+    let workers = usize_flag("--workers", cores.clamp(1, 4));
     let selected: Option<Vec<String>> = args
         .iter()
         .position(|a| a == "--examples")

@@ -25,24 +25,21 @@
 use crusade_gen::{generate, run_sweep, GenConfig, SweepArtifact, SweepConfig};
 use crusade_workloads::paper_library;
 
-use crusade_bench::json;
-
-fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use crusade_bench::{exit_usage, flag, json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let config = SweepConfig {
         base: GenConfig {
-            seed: flag(&args, "--seed", GenConfig::default().seed),
+            seed: flag(&args, "--seed")
+                .unwrap_or_else(|e| exit_usage(&e))
+                .unwrap_or(GenConfig::default().seed),
             ..GenConfig::default()
         },
-        seeds: flag(&args, "--seeds", 10u64).max(1),
+        seeds: flag(&args, "--seeds")
+            .unwrap_or_else(|e| exit_usage(&e))
+            .unwrap_or(10u64)
+            .max(1),
         ..SweepConfig::default()
     };
     let lib = paper_library();

@@ -38,7 +38,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use crusade_bench::json;
+use crusade_bench::{exit_usage, flag, json};
 use crusade_core::{CoSynthesis, CosynOptions, SynthesisResult};
 use crusade_explore::{resynthesize_sequence, ResynConfig, ResynError};
 use crusade_gen::GenConfig;
@@ -93,14 +93,6 @@ struct WarmstartRecord {
     unsound_rejections: usize,
 }
 
-fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
 /// Cold-synthesizes `spec` with a fresh metrics observer, returning the
 /// result, the sum of its obs phase spans (µs) and the wall-clock (ms).
 fn cold(spec: &SystemSpec, lib: &ResourceLibrary) -> Option<(SynthesisResult, u64, f64)> {
@@ -136,7 +128,9 @@ fn burst_deltas(rng: &mut SmallRng, live: &[u32]) -> Vec<SpecDelta> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed: u64 = flag(&args, "--seed", 0xCAFE);
+    let seed: u64 = flag(&args, "--seed")
+        .unwrap_or_else(|e| exit_usage(&e))
+        .unwrap_or(0xCAFE);
     let selected: Option<Vec<String>> = args
         .iter()
         .position(|a| a == "--examples")

@@ -292,6 +292,34 @@ pub fn table3_rows() -> Result<Vec<SynthesisRow>, SynthesisError> {
         .collect()
 }
 
+/// Parses an optional `--name <value>` flag of a bench binary: `Ok(None)`
+/// when the flag is absent, `Err` when its value is missing or does not
+/// parse as `T` (the binaries then exit 2 through [`exit_usage`]).
+///
+/// # Errors
+///
+/// A message naming the flag and the parse failure.
+pub fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    match args.iter().position(|a| a == name) {
+        Some(i) => args
+            .get(i + 1)
+            .ok_or(format!("{name} needs a value"))?
+            .parse::<T>()
+            .map(Some)
+            .map_err(|e| format!("{name}: {e}")),
+        None => Ok(None),
+    }
+}
+
+/// Reports a malformed command line on stderr and exits with status 2.
+pub fn exit_usage(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
+}
+
 /// Machine-readable emission for the bench binaries.
 ///
 /// Each table binary writes a `BENCH_<name>.json` file alongside its
@@ -423,6 +451,22 @@ mod tests {
             nr,
             vec!["r2d2p", "cv46", "wamxp"],
             "paper's Not-routable set"
+        );
+    }
+
+    #[test]
+    fn flag_parses_defaults_and_rejects_malformed_values() {
+        let args: Vec<String> = ["--seeds", "abc", "--jobs", "3", "--tail"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(flag::<usize>(&args, "--jobs"), Ok(Some(3)));
+        assert_eq!(flag::<usize>(&args, "--portfolio"), Ok(None));
+        let err = flag::<u64>(&args, "--seeds").unwrap_err();
+        assert!(err.starts_with("--seeds: "), "{err}");
+        assert_eq!(
+            flag::<u64>(&args, "--tail"),
+            Err("--tail needs a value".to_string())
         );
     }
 

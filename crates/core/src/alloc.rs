@@ -23,6 +23,8 @@
 //! and re-placed — the paper's "preemptive scheduling in restricted
 //! scenarios".
 
+use std::sync::atomic::{AtomicBool, Ordering};
+
 use crusade_model::{
     Dollars, GlobalEdgeId, GlobalTaskId, GraphId, Nanos, PeClass, PeTypeId, Priority,
     ResourceLibrary, SystemSpec, TaskId,
@@ -37,8 +39,6 @@ use crate::arch::{Architecture, LinkInstanceId, ModeIndex, PeInstanceId};
 use crate::cluster::{Cluster, ClusterId, Clustering};
 use crate::error::SynthesisError;
 use crate::options::{derate, CosynOptions};
-use crate::policy::splitmix64;
-use crate::portfolio::{cache_key, PortfolioHooks};
 
 /// One candidate in the allocation array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,15 +114,9 @@ pub struct Allocator<'a> {
     /// Allocation candidates the oracle skipped before a commit (entries
     /// after the committed one are never judged).
     candidates_pruned: usize,
-    /// Portfolio sharing (cancellation flag + negative evaluation cache),
-    /// installed by [`crate::CoSynthesis::with_portfolio_hooks`].
-    hooks: Option<PortfolioHooks<'a>>,
-    /// Hash chain over the committed `(cluster, target)` decisions of this
-    /// run, seeded with a fingerprint of everything else the scheduling
-    /// attempt depends on. Two runs with equal chains have byte-identical
-    /// boards, which is what makes sharing failure verdicts through the
-    /// [`crate::EvalCache`] sound.
-    history_hash: u64,
+    /// Cooperative cancellation flag, checked before every scheduling
+    /// attempt ([`with_cancel`](Self::with_cancel)).
+    cancel: Option<&'a AtomicBool>,
 }
 
 impl<'a> Allocator<'a> {
@@ -164,23 +158,6 @@ impl<'a> Allocator<'a> {
         let oracle = options
             .pruning
             .then(|| crusade_lint::PruningOracle::build(spec, lib, &options.lint_options()));
-        // Fingerprint of everything a scheduling attempt's outcome depends
-        // on besides the decision history: the option knobs that reach
-        // `try_target` (and the clustering shape, which the size cap
-        // drives). Portfolio members with different knobs therefore never
-        // share cache entries.
-        let mut fp = splitmix64(options.eruf.to_bits() ^ options.epuf.to_bits().rotate_left(32));
-        fp = splitmix64(
-            fp ^ u64::from(options.preemption)
-                ^ (u64::from(options.reconfiguration) << 1)
-                ^ (u64::from(options.image_sharing) << 2),
-        );
-        fp = splitmix64(
-            fp ^ (options.cluster_size_cap as u64) ^ ((options.max_modes_per_device as u64) << 24),
-        );
-        fp = splitmix64(
-            fp ^ (clustering.cluster_count() as u64) ^ ((spec.graph_count() as u64) << 32),
-        );
         // The board shares the options' observer handle: every placement
         // attempt — including ones a rejected candidate rolls back —
         // reports the slot it chose.
@@ -200,16 +177,16 @@ impl<'a> Allocator<'a> {
             oracle,
             candidates_tried: 0,
             candidates_pruned: 0,
-            hooks: None,
-            history_hash: fp,
+            cancel: None,
         }
     }
 
-    /// Installs portfolio sharing: the cancellation flag is checked before
-    /// every scheduling attempt, and failed attempts are shared through
-    /// the negative evaluation cache.
-    pub fn set_portfolio_hooks(&mut self, hooks: PortfolioHooks<'a>) {
-        self.hooks = Some(hooks);
+    /// Checks `cancel` before every scheduling attempt: once it is raised,
+    /// [`allocate`](Self::allocate) fails with
+    /// [`SynthesisError::Cancelled`] (builder style).
+    pub fn with_cancel(mut self, cancel: &'a AtomicBool) -> Self {
+        self.cancel = Some(cancel);
+        self
     }
 
     /// `(tried, pruned)` — allocation candidates that were evaluated with
@@ -622,21 +599,8 @@ impl<'a> Allocator<'a> {
                 pruned += 1;
                 continue;
             }
-            if self.hooks.is_some_and(|h| h.cancelled()) {
+            if self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
                 return Err(SynthesisError::Cancelled);
-            }
-            // Extend the decision hash-chain to this candidate: the key a
-            // shared negative cache stores a failure verdict under. Two
-            // runs reach the same key only with identical commit history
-            // (hence identical boards), so a hit skips a scheduling
-            // attempt that provably fails again.
-            let decision_hash = self.decision_hash(cid, target);
-            let cache = self.hooks.and_then(|h| h.cache);
-            if cache.is_some_and(|c| c.known_failure(cache_key(decision_hash))) {
-                self.options.observer.emit(|| Event::CacheHit {
-                    cluster: cid.index() as u64,
-                });
-                continue;
             }
             self.candidates_tried += 1;
             self.options.observer.emit(|| Event::CandidateConsidered {
@@ -651,7 +615,6 @@ impl<'a> Allocator<'a> {
             self.arch = arch;
             match outcome {
                 Ok((pe, mode)) => {
-                    self.history_hash = decision_hash;
                     committed = Some((
                         target,
                         AllocationDecision {
@@ -669,9 +632,6 @@ impl<'a> Allocator<'a> {
                         reason,
                     });
                 }
-            }
-            if let Some(cache) = cache {
-                cache.record_failure(cache_key(decision_hash));
             }
         }
         self.candidates_pruned += pruned;
@@ -717,21 +677,6 @@ impl<'a> Allocator<'a> {
             }
             AllocTarget::New { ty } => format!("new {}", self.lib.pe(ty).name()),
         }
-    }
-
-    /// The decision hash-chain extended by trying `target` for `cid`: a
-    /// collision-resistant mix of the current history with a tagged
-    /// encoding of the candidate.
-    fn decision_hash(&self, cid: ClusterId, target: AllocTarget) -> u64 {
-        let code = match target {
-            AllocTarget::Existing { pe, mode } => {
-                0b01 | ((pe.index() as u64) << 2) | ((mode as u64) << 34)
-            }
-            AllocTarget::NewMode { pe } => 0b10 | ((pe.index() as u64) << 2),
-            AllocTarget::New { ty } => 0b11 | ((ty.index() as u64) << 2),
-        };
-        let h = splitmix64(self.history_hash ^ splitmix64(cid.index() as u64));
-        splitmix64(h ^ splitmix64(code))
     }
 
     /// Attempts to place `cluster` on `target`, mutating `arch` in place.
@@ -1524,6 +1469,68 @@ mod tests {
             allocator.allocate(cid).unwrap();
         }
         attempts
+    }
+
+    /// A root feeding two sinks, clustered together on a CPU (the second
+    /// sink joins as a leaf). On the cheap, slow CPU each member fits its
+    /// own window — the root ends by 100 µs against a 200 µs bound, each
+    /// sink by 450 µs against 600 µs — but run back to back the three need
+    /// 900 µs, so only the CPU-serialisation argument proves the cheap
+    /// CPU dead; the dear, fast CPU hosts the cluster.
+    #[test]
+    fn cpu_serialisation_prunes_a_cluster_no_member_rules_out() {
+        let mut lib = ResourceLibrary::new();
+        for (name, cost) in [("slow-cpu", 50), ("fast-cpu", 200)] {
+            lib.add_pe(PeType::new(
+                name,
+                Dollars::new(cost),
+                PeClass::Cpu(CpuAttrs {
+                    memory_bytes: 4 << 20,
+                    context_switch: us(1),
+                    comm_ports: 2,
+                    comm_overlap: true,
+                }),
+            ));
+        }
+        let task = |name: &str, slow: u64| {
+            Task::new(
+                name,
+                ExecutionTimes::from_entries(
+                    2,
+                    [
+                        (PeTypeId::new(0), us(slow)),
+                        (PeTypeId::new(1), us(slow / 2)),
+                    ],
+                ),
+            )
+        };
+        let mut b = TaskGraphBuilder::new("fork", ms(1));
+        let root = b.add_task(task("root", 100));
+        let left = b.add_task(task("left", 400));
+        let right = b.add_task(task("right", 400));
+        b.add_edge(root, left, 8);
+        b.add_edge(root, right, 8);
+        let spec = SystemSpec::new(vec![b.deadline(us(600)).build().unwrap()]);
+
+        let pruned = crate::CoSynthesis::new(&spec, &lib).run().unwrap();
+        let unpruned = crate::CoSynthesis::new(&spec, &lib)
+            .with_options(CosynOptions {
+                pruning: false,
+                ..CosynOptions::default()
+            })
+            .run()
+            .unwrap();
+        assert_eq!(pruned.clustering.cluster_count(), 1);
+        assert_eq!(pruned.report.candidates_pruned, 1);
+        assert_eq!(
+            unpruned.report.candidates_tried,
+            pruned.report.candidates_tried + 1
+        );
+        assert_eq!(json(&pruned.architecture), json(&unpruned.architecture));
+        assert_eq!(
+            pruned.architecture.pe(PeInstanceId::new(0)).ty,
+            PeTypeId::new(1)
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crusade_model::{Dollars, ValidateSpecError};
+use crusade_model::ValidateSpecError;
 
 use crate::cluster::ClusterId;
 
@@ -38,17 +38,9 @@ pub enum SynthesisError {
         /// Human-readable description of every Error-level lint.
         lints: Vec<String>,
     },
-    /// The run was cancelled cooperatively through
-    /// [`crate::PortfolioHooks::cancel`] before it finished.
+    /// The run was cancelled cooperatively through the flag passed to
+    /// [`crate::CoSynthesis::with_cancel`] before it finished.
     Cancelled,
-    /// A portfolio sibling already completed an audit-clean architecture
-    /// cheaper than any this run could still reach (partial cost plus a
-    /// sound remaining-cost lower bound strictly exceeds the incumbent),
-    /// so the run was abandoned early.
-    Dominated {
-        /// The incumbent cost that dominated this run.
-        incumbent: Dollars,
-    },
     /// An internal invariant of the synthesis engine was broken — a bug,
     /// not a property of the specification. Reported instead of panicking
     /// so long campaigns degrade gracefully.
@@ -98,9 +90,6 @@ impl fmt::Display for SynthesisError {
                 Ok(())
             }
             SynthesisError::Cancelled => write!(f, "synthesis run cancelled"),
-            SynthesisError::Dominated { incumbent } => {
-                write!(f, "run dominated by incumbent architecture at {incumbent}")
-            }
             SynthesisError::Internal(msg) => write!(f, "internal synthesis error: {msg}"),
         }
     }

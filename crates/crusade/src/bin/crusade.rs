@@ -410,13 +410,16 @@ fn cmd_audit(args: &[String]) -> Result<u8, String> {
     }
 }
 
-/// Parses an optional `--name <usize>` flag.
-fn flag_usize(args: &[String], name: &str) -> Result<Option<usize>, String> {
+/// Parses an optional `--name <value>` flag.
+fn flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
     match args.iter().position(|a| a == name) {
         Some(i) => args
             .get(i + 1)
             .ok_or(format!("{name} needs a value"))?
-            .parse::<usize>()
+            .parse::<T>()
             .map(Some)
             .map_err(|e| format!("{name}: {e}")),
         None => Ok(None),
@@ -427,17 +430,17 @@ fn flag_usize(args: &[String], name: &str) -> Result<Option<usize>, String> {
 /// synthesis policies and prints the cheapest audit-clean winner.
 ///
 /// The winner line on stdout is deterministic — bit-identical regardless
-/// of `--jobs`. Schedule-dependent statistics (cache hit-rate, pruning
-/// counts) go to stderr.
+/// of `--jobs`. Member statistics (clean, audit-rejected and failed
+/// counts, and the worker count) go to stderr.
 fn cmd_explore(args: &[String]) -> Result<u8, String> {
     let arg = args
         .first()
         .ok_or("usage: crusade explore <spec.json|example-name> [--jobs N] [--portfolio M]")?;
-    let jobs = match flag_usize(args, "--jobs")? {
+    let jobs = match flag::<usize>(args, "--jobs")? {
         Some(n) => n.max(1),
         None => std::thread::available_parallelism().map_or(1, usize::from),
     };
-    let portfolio = flag_usize(args, "--portfolio")?.unwrap_or(8).max(1);
+    let portfolio = flag::<usize>(args, "--portfolio")?.unwrap_or(8).max(1);
     let (library, spec) = load_or_example(arg)?;
     let mut base = options(args);
     let metrics = args.iter().any(|a| a == "--metrics").then(|| {
@@ -457,55 +460,19 @@ fn cmd_explore(args: &[String]) -> Result<u8, String> {
     );
     let stats = &outcome.stats;
     eprintln!(
-        "explore: portfolio {} at {} job(s) — {} clean, {} dominated, {} skipped by bound, \
-         {} audit-rejected, {} failed; cache {:.0}% hit ({} / {} lookups); lower bound {}",
-        stats.portfolio,
-        stats.jobs,
-        stats.clean,
-        stats.dominated,
-        stats.skipped_by_bound,
-        stats.audit_rejected,
-        stats.failed,
-        stats.cache_hit_rate() * 100.0,
-        stats.cache_hits,
-        stats.cache_lookups,
-        stats.cost_lower_bound,
+        "explore: portfolio {} at {} job(s) — {} clean, {} audit-rejected, {} failed",
+        stats.portfolio, stats.jobs, stats.clean, stats.audit_rejected, stats.failed,
     );
     if let Some(metrics) = metrics {
-        // Aggregated over every portfolio member: schedule-dependent, so
-        // it goes to stdout only on explicit request.
+        // Aggregated over every portfolio member (its phase wall times
+        // depend on the thread schedule), so it goes to stdout only on
+        // explicit request.
         println!(
             "{}",
             serde_json::to_string_pretty(&metrics.snapshot()).map_err(|e| e.to_string())?
         );
     }
     Ok(EXIT_CLEAN)
-}
-
-/// Parses an optional `--name <f64>` flag.
-fn flag_f64(args: &[String], name: &str) -> Result<Option<f64>, String> {
-    match args.iter().position(|a| a == name) {
-        Some(i) => args
-            .get(i + 1)
-            .ok_or(format!("{name} needs a value"))?
-            .parse::<f64>()
-            .map(Some)
-            .map_err(|e| format!("{name}: {e}")),
-        None => Ok(None),
-    }
-}
-
-/// Parses an optional `--name <u64>` flag.
-fn flag_u64(args: &[String], name: &str) -> Result<Option<u64>, String> {
-    match args.iter().position(|a| a == name) {
-        Some(i) => args
-            .get(i + 1)
-            .ok_or(format!("{name} needs a value"))?
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|e| format!("{name}: {e}")),
-        None => Ok(None),
-    }
 }
 
 /// Parses an optional `--name a,b,c` comma-separated float list.
@@ -546,11 +513,11 @@ fn cmd_trace(args: &[String]) -> Result<u8, String> {
         "usage: crusade trace <spec.json|example-name> [--out trace.jsonl] [--jobs N] \
          [--portfolio M] [--no-reconfig]",
     )?;
-    let jobs = match flag_usize(args, "--jobs")? {
+    let jobs = match flag::<usize>(args, "--jobs")? {
         Some(n) => n.max(1),
         None => std::thread::available_parallelism().map_or(1, usize::from),
     };
-    let portfolio = flag_usize(args, "--portfolio")?.unwrap_or(8).max(1);
+    let portfolio = flag::<usize>(args, "--portfolio")?.unwrap_or(8).max(1);
     let out = flag_str(args, "--out")?;
     let (library, spec) = load_or_example(arg)?;
     let config = crusade::explore::ExploreConfig::new(portfolio, jobs).with_base(options(args));
@@ -649,19 +616,19 @@ fn cmd_inject(args: &[String]) -> Result<u8, String> {
 fn cmd_sweep(args: &[String]) -> Result<u8, String> {
     use crusade::gen::{GenConfig, SecondaryAxis, SweepArtifact, SweepConfig};
     let mut base = GenConfig::default();
-    if let Some(seed) = flag_u64(args, "--seed")? {
+    if let Some(seed) = flag::<u64>(args, "--seed")? {
         base.seed = seed;
     }
-    if let Some(graphs) = flag_usize(args, "--graphs")? {
+    if let Some(graphs) = flag::<usize>(args, "--graphs")? {
         base.graphs = graphs;
     }
-    if let Some(tightness) = flag_f64(args, "--tightness")? {
+    if let Some(tightness) = flag::<f64>(args, "--tightness")? {
         base.tightness = tightness;
     }
-    if let Some(hw_share) = flag_f64(args, "--hw-share")? {
+    if let Some(hw_share) = flag::<f64>(args, "--hw-share")? {
         base.hw_share = hw_share;
     }
-    if let Some(density) = flag_f64(args, "--comm-density")? {
+    if let Some(density) = flag::<f64>(args, "--comm-density")? {
         base.comm_density = density;
     }
     let secondary_points = flag_f64_list(args, "--secondary-points")?;
@@ -681,7 +648,7 @@ fn cmd_sweep(args: &[String]) -> Result<u8, String> {
         base,
         utilizations: flag_f64_list(args, "--points")?.unwrap_or(vec![0.8, 1.6, 2.4, 3.2, 4.0]),
         secondary,
-        seeds: flag_u64(args, "--seeds")?.unwrap_or(5).max(1),
+        seeds: flag::<u64>(args, "--seeds")?.unwrap_or(5).max(1),
         options: options(args),
         audit: !args.iter().any(|a| a == "--no-audit"),
     };
@@ -738,12 +705,12 @@ fn cmd_resyn(args: &[String]) -> Result<u8, String> {
          [--portfolio M] [--retry-budget K] [--out report.json] [--no-reconfig]",
     )?;
     let deltas_path = flag_str(args, "--deltas")?.ok_or("resyn needs --deltas <deltas.json>")?;
-    let jobs = match flag_usize(args, "--jobs")? {
+    let jobs = match flag::<usize>(args, "--jobs")? {
         Some(n) => n.max(1),
         None => std::thread::available_parallelism().map_or(1, usize::from),
     };
-    let portfolio = flag_usize(args, "--portfolio")?.unwrap_or(4).max(1);
-    let retry_budget = flag_usize(args, "--retry-budget")?.unwrap_or(8);
+    let portfolio = flag::<usize>(args, "--portfolio")?.unwrap_or(4).max(1);
+    let retry_budget = flag::<usize>(args, "--retry-budget")?.unwrap_or(8);
     let start = match flag_str(args, "--from-rung")? {
         Some(tag) => crusade::explore::Rung::parse(tag).ok_or(format!(
             "--from-rung: unknown rung {tag} (warm|widened|portfolio|cold)"
@@ -834,10 +801,10 @@ fn cmd_serve(args: &[String]) -> Result<u8, String> {
     let addr = flag_str(args, "--addr")?
         .unwrap_or("127.0.0.1:0")
         .to_string();
-    let workers = flag_usize(args, "--workers")?.unwrap_or(2).max(1);
-    let jobs = flag_usize(args, "--jobs")?.unwrap_or(1).max(1);
-    let queue_cap = flag_usize(args, "--queue-cap")?.unwrap_or(64).max(1);
-    let quota = flag_usize(args, "--quota")?.unwrap_or(8).max(1);
+    let workers = flag::<usize>(args, "--workers")?.unwrap_or(2).max(1);
+    let jobs = flag::<usize>(args, "--jobs")?.unwrap_or(1).max(1);
+    let queue_cap = flag::<usize>(args, "--queue-cap")?.unwrap_or(64).max(1);
+    let quota = flag::<usize>(args, "--quota")?.unwrap_or(8).max(1);
     let port_file = flag_str(args, "--port-file")?.map(str::to_string);
     let config = crusade::serve::ServeConfig {
         addr,
@@ -890,7 +857,7 @@ fn cmd_client(args: &[String]) -> Result<u8, String> {
         "submit" => {
             let arg = rest.first().ok_or(CLIENT_USAGE)?;
             let payload = client_payload(arg)?;
-            let portfolio = flag_usize(args, "--portfolio")?.unwrap_or(8).max(1);
+            let portfolio = flag::<usize>(args, "--portfolio")?.unwrap_or(8).max(1);
             let reconfiguration = !args.iter().any(|a| a == "--no-reconfig");
             let stream = args.iter().any(|a| a == "--stream");
             let result = client
@@ -949,7 +916,7 @@ fn cmd_client(args: &[String]) -> Result<u8, String> {
                 .map_err(|e| format!("reading {deltas_path}: {e}"))?;
             let deltas: Vec<crusade::model::SpecDelta> =
                 serde_json::from_str(&text).map_err(|e| format!("parsing {deltas_path}: {e}"))?;
-            let portfolio = flag_usize(args, "--portfolio")?.unwrap_or(4).max(1);
+            let portfolio = flag::<usize>(args, "--portfolio")?.unwrap_or(4).max(1);
             let reconfiguration = !args.iter().any(|a| a == "--no-reconfig");
             let result = client
                 .resyn(payload, deltas, portfolio, reconfiguration)

@@ -20,8 +20,8 @@
 //! * [`verify`] — the independent architecture auditor and the seeded
 //!   fault-injection engine;
 //! * [`explore`] — parallel multi-start design-space exploration over
-//!   policy portfolios, with a shared evaluation cache and cost lower
-//!   bounds;
+//!   policy portfolios, reduced deterministically to the cheapest
+//!   audit-clean winner;
 //! * [`serve`] — synthesis as a service: a batched co-synthesis daemon
 //!   with admission queueing, a spec-fingerprint architecture cache and
 //!   warm-start re-synthesis against cached incumbents;

@@ -8,34 +8,19 @@
 //! tie-break seeds, reconfiguration-aggressiveness knobs) concurrently and
 //! reduces to the cheapest deadline-feasible architecture.
 //!
-//! Three mechanisms keep the search fast without ever changing the
-//! answer:
-//!
-//! * a shared [`EvalCache`] of failed allocation attempts, keyed by the
-//!   decision-prefix hash, so members retreading a shared prefix skip
-//!   scheduling attempts that provably fail again;
-//! * a shared [`CostIncumbent`] updated **only** with audit-clean
-//!   completed costs; members abort as dominated once a sound lower bound
-//!   on their final cost *strictly* exceeds it;
-//! * the `crusade-lint` bin-packing [`cost_lower_bound`]: once the
-//!   incumbent equals the spec-wide floor, members that could at best tie
-//!   with a lower-id winner are skipped outright.
+//! Members share nothing but a cooperative cancellation flag: each runs
+//! to completion on its own, and the independent auditor vets every
+//! completed architecture before it may win.
 //!
 //! # Determinism
 //!
-//! The reduced winner — architecture, cost, and winning policy — is
-//! bit-identical regardless of worker count or thread schedule. The
-//! argument: every policy is itself deterministic; the incumbent only
-//! ever *decreases* and only to audit-clean achieved costs, so for a run
-//! whose final cost is the portfolio minimum every domination test
-//! compares a lower bound on that minimum against an incumbent at least
-//! as large — with a strict comparison it never aborts. The same holds
-//! for ties, and the lint-floor skip only ever drops members that would
-//! lose the `(cost, policy-id)` tie-break to an already-completed
-//! winner. Hence exactly the potential winners always complete, and the
-//! reduction `min by (cost, policy-id)` is schedule-independent. Member
-//! *statistics* (which runs were dominated or skipped, cache hit counts)
-//! are schedule-dependent and deliberately excluded from that guarantee.
+//! Every policy is itself deterministic, and every member runs to
+//! completion whatever its siblings do, so each member's outcome — and
+//! with it the reduction `min by (cost, policy-id)` over the audit-clean
+//! members, the per-member reports and the aggregate statistics apart
+//! from the worker count — is the same for any `jobs` value and any
+//! thread schedule. Only a raised cancellation flag can make the outcome
+//! depend on timing.
 //!
 //! # Examples
 //!
@@ -62,13 +47,9 @@ use std::thread;
 
 use serde::Serialize;
 
-use crusade_core::{
-    CoSynthesis, CostIncumbent, CosynOptions, EvalCache, PortfolioHooks, SynthesisError,
-    SynthesisPolicy, SynthesisResult,
-};
-use crusade_lint::cost_lower_bound;
+use crusade_core::{CoSynthesis, CosynOptions, SynthesisError, SynthesisPolicy, SynthesisResult};
 use crusade_model::{Dollars, ResourceLibrary, SystemSpec};
-use crusade_obs::{Event, Fanout, Metrics, MetricsSnapshot, TraceSink};
+use crusade_obs::{Fanout, Metrics, MetricsSnapshot, TraceSink};
 
 pub use crusade_core::splitmix64;
 
@@ -90,8 +71,6 @@ pub struct ExploreConfig {
     /// Base synthesis options every member starts from (its policy field
     /// is replaced per member).
     pub base: CosynOptions,
-    /// Whether members share the negative evaluation cache.
-    pub share_cache: bool,
     /// External cooperative-cancellation token. When set, raising the
     /// flag aborts every member at its next allocation step (status
     /// [`MemberStatus::Cancelled`]); when `None` the exploration owns a
@@ -100,13 +79,12 @@ pub struct ExploreConfig {
 }
 
 impl ExploreConfig {
-    /// A configuration with default synthesis options and the cache on.
+    /// A configuration with default synthesis options.
     pub fn new(portfolio: usize, jobs: usize) -> Self {
         ExploreConfig {
             portfolio,
             jobs,
             base: CosynOptions::default(),
-            share_cache: true,
             cancel: None,
         }
     }
@@ -129,16 +107,8 @@ impl ExploreConfig {
 pub enum MemberStatus {
     /// Completed and passed the independent audit (eligible to win).
     Clean,
-    /// Completed but the auditor found violations (never wins, never
-    /// updates the incumbent).
+    /// Completed but the auditor found violations (never wins).
     AuditRejected,
-    /// Aborted early: a sound lower bound on its final cost strictly
-    /// exceeded the incumbent.
-    Dominated,
-    /// Never started: the incumbent already equals the lint cost floor
-    /// and a lower-id member holds it, so this member could only lose
-    /// the tie-break.
-    SkippedByBound,
     /// Stopped by the cooperative cancellation flag.
     Cancelled,
     /// Synthesis failed (infeasible under this policy's knobs, or an
@@ -147,7 +117,7 @@ pub enum MemberStatus {
 }
 
 /// Per-member record of an exploration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MemberReport {
     /// The policy this member ran.
     pub policy: SynthesisPolicy,
@@ -160,51 +130,36 @@ pub struct MemberReport {
 }
 
 /// Aggregate statistics of an exploration. Everything here except
-/// `portfolio`, `jobs`, and `cost_lower_bound` depends on thread timing
-/// and is *not* covered by the determinism guarantee.
-#[derive(Debug, Clone, Serialize)]
+/// `jobs` is the same for any worker count.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct ExploreStats {
     /// Portfolio size.
     pub portfolio: usize,
-    /// Worker threads used.
+    /// Worker threads spawned: the requested job count, capped at the
+    /// portfolio size.
     pub jobs: usize,
     /// Members that completed audit-clean.
     pub clean: usize,
-    /// Members aborted by incumbent domination (the pruned-run count).
-    pub dominated: usize,
-    /// Members skipped outright by the lint cost floor.
-    pub skipped_by_bound: usize,
     /// Members rejected by the post-run audit.
     pub audit_rejected: usize,
     /// Members that failed to synthesize.
     pub failed: usize,
-    /// Shared-cache hits (lookups that skipped a scheduling attempt).
+    /// Always 0: members no longer abort against a shared cost
+    /// incumbent. Kept only because the repository benchmark still reads
+    /// it.
+    pub dominated: usize,
+    /// Always 0: no member is skipped by a cost floor any more. Kept
+    /// only because the repository benchmark still reads it.
+    pub skipped_by_bound: usize,
+    /// Always 0: members no longer share an evaluation cache. Kept only
+    /// because the repository benchmark still reads it.
     pub cache_hits: u64,
-    /// Shared-cache lookups.
+    /// Always 0, like `cache_hits`.
     pub cache_lookups: u64,
-    /// Distinct failure entries recorded in the shared cache.
-    pub cache_entries: usize,
-    /// The `crusade-lint` bin-packing floor on any feasible architecture
-    /// cost (zero when the analysis finds no binding floor).
-    pub cost_lower_bound: Dollars,
 }
 
-impl ExploreStats {
-    /// Fraction of cache lookups that were hits (0.0 when none).
-    pub fn cache_hit_rate(&self) -> f64 {
-        if self.cache_lookups == 0 {
-            0.0
-        } else {
-            #[allow(clippy::cast_precision_loss)]
-            {
-                self.cache_hits as f64 / self.cache_lookups as f64
-            }
-        }
-    }
-}
-
-/// The result of an exploration: the deterministic winner plus
-/// schedule-dependent statistics.
+/// The result of an exploration: the deterministic winner, per-member
+/// records and aggregate statistics.
 #[derive(Debug)]
 pub struct ExploreOutcome {
     /// The cheapest audit-clean architecture (ties broken by lowest
@@ -322,15 +277,8 @@ pub fn explore_portfolio(
     config: &ExploreConfig,
     policies: &[SynthesisPolicy],
 ) -> Result<ExploreOutcome, ExploreError> {
-    let incumbent = CostIncumbent::new();
-    let cache = EvalCache::new();
     let local_cancel = AtomicBool::new(false);
     let cancel: &AtomicBool = config.cancel.as_deref().unwrap_or(&local_cancel);
-    let floor = cost_lower_bound(spec, lib, &config.base.lint_options());
-    // Best (cost, policy-id) achieved by an audit-clean member so far;
-    // feeds the lint-floor skip rule only — the final reduction re-scans
-    // all completed members.
-    let best_clean: Mutex<Option<(u64, u32)>> = Mutex::new(None);
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<MemberOutcome>>> =
         policies.iter().map(|_| Mutex::new(None)).collect();
@@ -343,17 +291,7 @@ pub fn explore_portfolio(
                 let Some(policy) = policies.get(i) else {
                     break;
                 };
-                let outcome = run_member(
-                    spec,
-                    lib,
-                    config,
-                    policy,
-                    floor,
-                    &incumbent,
-                    &cache,
-                    cancel,
-                    &best_clean,
-                );
+                let outcome = run_member(spec, lib, &config.base, policy, cancel);
                 if let Ok(mut slot) = slots[i].lock() {
                     *slot = Some(outcome);
                 }
@@ -371,7 +309,7 @@ pub fn explore_portfolio(
             .unwrap_or(MemberOutcome::Failed("worker never reported".into()))
         })
         .collect();
-    reduce(policies, outcomes, config, &cache, floor)
+    reduce(policies, outcomes, workers)
 }
 
 /// The result of [`explore_traced`]: the exploration outcome plus the
@@ -390,12 +328,11 @@ pub struct TracedExplore {
 }
 
 /// [`explore`] followed by a *winner replay*: the winning policy is
-/// re-run solo — no portfolio hooks, no sibling threads — with a trace
-/// and metrics observer attached. Every policy is deterministic, so the
-/// replay reproduces the winner exactly, and the returned trace is
-/// byte-identical for any `jobs` value: exploration scheduling noise
-/// (domination aborts, cache hits, member interleaving) never reaches
-/// the trace.
+/// re-run solo — no sibling threads — with a trace and metrics observer
+/// attached. Every policy is deterministic, so the replay reproduces the
+/// winner exactly, and the returned trace is byte-identical for any
+/// `jobs` value: the interleaving of portfolio members never reaches the
+/// trace.
 ///
 /// # Errors
 ///
@@ -444,81 +381,32 @@ pub fn explore_traced(
 enum MemberOutcome {
     Clean(Box<SynthesisResult>),
     AuditRejected(Vec<String>),
-    Dominated,
-    SkippedByBound,
     Cancelled,
     Failed(String),
 }
 
-/// Runs one portfolio member end to end (lint-floor skip check, synthesis
-/// with shared hooks, independent audit, incumbent update).
-#[allow(clippy::too_many_arguments)]
+/// Runs one portfolio member end to end: synthesis under the member's
+/// policy, then the independent audit.
 fn run_member(
     spec: &SystemSpec,
     lib: &ResourceLibrary,
-    config: &ExploreConfig,
+    base: &CosynOptions,
     policy: &SynthesisPolicy,
-    floor: Dollars,
-    incumbent: &CostIncumbent,
-    cache: &EvalCache,
     cancel: &AtomicBool,
-    best_clean: &Mutex<Option<(u64, u32)>>,
 ) -> MemberOutcome {
-    // Winner-preserving skip: once the incumbent sits on the lint floor
-    // no member can do strictly better, so a member that would also lose
-    // the (cost, id) tie-break to the floor-holder need not run at all.
-    if floor.amount() > 0 && incumbent.get() == floor.amount() {
-        let beaten = best_clean
-            .lock()
-            .map(|b| b.is_some_and(|(c, id)| c == floor.amount() && id < policy.id))
-            .unwrap_or(false);
-        if beaten {
-            config.base.observer.emit(|| Event::MemberSkipped {
-                policy: u64::from(policy.id),
-            });
-            return MemberOutcome::SkippedByBound;
-        }
-    }
-    let options = config.base.clone().with_policy(policy.clone());
-    let hooks = PortfolioHooks {
-        incumbent,
-        cache: config.share_cache.then_some(cache),
-        cancel,
-    };
+    let options = base.clone().with_policy(policy.clone());
     match CoSynthesis::new(spec, lib)
         .with_options(options.clone())
-        .with_portfolio_hooks(hooks)
+        .with_cancel(cancel)
         .run()
     {
         Ok(result) => {
-            // Independent audit; only clean members may move the
-            // incumbent (anything else could abort a run that the
-            // deterministic reduction still needs).
             let violations = crusade_verify::audit(spec, lib, &options.effective(), &result);
             if violations.is_empty() {
-                let cost = result.report.cost.amount();
-                if cost < incumbent.get() {
-                    config.base.observer.emit(|| Event::IncumbentUpdate {
-                        policy: u64::from(policy.id),
-                        cost,
-                    });
-                }
-                incumbent.observe(cost);
-                if let Ok(mut b) = best_clean.lock() {
-                    if b.map_or(true, |(c, id)| (cost, policy.id) < (c, id)) {
-                        *b = Some((cost, policy.id));
-                    }
-                }
                 MemberOutcome::Clean(Box::new(result))
             } else {
                 MemberOutcome::AuditRejected(violations.iter().map(|v| v.to_string()).collect())
             }
-        }
-        Err(SynthesisError::Dominated { .. }) => {
-            config.base.observer.emit(|| Event::DominationAbort {
-                policy: u64::from(policy.id),
-            });
-            MemberOutcome::Dominated
         }
         Err(SynthesisError::Cancelled) => MemberOutcome::Cancelled,
         Err(e) => MemberOutcome::Failed(e.to_string()),
@@ -530,86 +418,52 @@ fn run_member(
 fn reduce(
     policies: &[SynthesisPolicy],
     outcomes: Vec<MemberOutcome>,
-    config: &ExploreConfig,
-    cache: &EvalCache,
-    floor: Dollars,
+    workers: usize,
 ) -> Result<ExploreOutcome, ExploreError> {
     let mut stats = ExploreStats {
         portfolio: policies.len(),
-        jobs: config.jobs.max(1),
+        jobs: workers,
         clean: 0,
-        dominated: 0,
-        skipped_by_bound: 0,
         audit_rejected: 0,
         failed: 0,
-        cache_hits: cache.stats().0,
-        cache_lookups: cache.stats().1,
-        cache_entries: cache.len(),
-        cost_lower_bound: floor,
+        dominated: 0,
+        skipped_by_bound: 0,
+        cache_hits: 0,
+        cache_lookups: 0,
     };
     let mut members = Vec::with_capacity(policies.len());
     let mut winner: Option<(u64, u32, Box<SynthesisResult>, SynthesisPolicy)> = None;
     for (policy, outcome) in policies.iter().zip(outcomes) {
-        let report = match outcome {
+        let (status, cost, detail) = match outcome {
             MemberOutcome::Clean(result) => {
                 stats.clean += 1;
                 let cost = result.report.cost;
                 let key = (cost.amount(), policy.id);
-                let report = MemberReport {
-                    policy: policy.clone(),
-                    status: MemberStatus::Clean,
-                    cost: Some(cost),
-                    detail: None,
-                };
                 if winner.as_ref().map_or(true, |(c, id, ..)| key < (*c, *id)) {
                     winner = Some((key.0, key.1, result, policy.clone()));
                 }
-                report
+                (MemberStatus::Clean, Some(cost), None)
             }
             MemberOutcome::AuditRejected(violations) => {
                 stats.audit_rejected += 1;
-                MemberReport {
-                    policy: policy.clone(),
-                    status: MemberStatus::AuditRejected,
-                    cost: None,
-                    detail: violations.first().cloned(),
-                }
+                (
+                    MemberStatus::AuditRejected,
+                    None,
+                    violations.first().cloned(),
+                )
             }
-            MemberOutcome::Dominated => {
-                stats.dominated += 1;
-                MemberReport {
-                    policy: policy.clone(),
-                    status: MemberStatus::Dominated,
-                    cost: None,
-                    detail: None,
-                }
-            }
-            MemberOutcome::SkippedByBound => {
-                stats.skipped_by_bound += 1;
-                MemberReport {
-                    policy: policy.clone(),
-                    status: MemberStatus::SkippedByBound,
-                    cost: None,
-                    detail: None,
-                }
-            }
-            MemberOutcome::Cancelled => MemberReport {
-                policy: policy.clone(),
-                status: MemberStatus::Cancelled,
-                cost: None,
-                detail: None,
-            },
+            MemberOutcome::Cancelled => (MemberStatus::Cancelled, None, None),
             MemberOutcome::Failed(detail) => {
                 stats.failed += 1;
-                MemberReport {
-                    policy: policy.clone(),
-                    status: MemberStatus::Failed,
-                    cost: None,
-                    detail: Some(detail),
-                }
+                (MemberStatus::Failed, None, Some(detail))
             }
         };
-        members.push(report);
+        members.push(MemberReport {
+            policy: policy.clone(),
+            status,
+            cost,
+            detail,
+        });
     }
     match winner {
         Some((_, _, result, policy)) => Ok(ExploreOutcome {
@@ -655,6 +509,15 @@ mod tests {
         // Deterministic.
         assert_eq!(p, default_portfolio(9));
         assert_eq!(default_portfolio(0).len(), 1);
+    }
+
+    #[test]
+    fn stats_report_the_workers_actually_spawned() {
+        let lib = crusade_workloads::paper_library();
+        let spec = crusade_workloads::random_example(7).build(&lib);
+        let outcome = explore(&spec, &lib.lib, &ExploreConfig::new(2, 8)).unwrap();
+        assert_eq!(outcome.stats.portfolio, 2);
+        assert_eq!(outcome.stats.jobs, 2, "8 jobs requested, 2 members to run");
     }
 
     #[test]

@@ -406,7 +406,6 @@ pub fn resynthesize_sequence(
                     portfolio: config.portfolio,
                     jobs: config.jobs,
                     base: config.base.clone(),
-                    share_cache: true,
                     cancel: None,
                 };
                 crate::explore_portfolio(

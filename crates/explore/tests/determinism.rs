@@ -1,25 +1,33 @@
 //! The engine's headline guarantee: the reduced winner — policy id,
 //! cost, and the full architecture — is bit-identical regardless of the
-//! worker count, because potential winners always run to completion and
-//! the reduction is a schedule-independent `min by (cost, policy-id)`.
+//! worker count, because every member runs to completion and the
+//! reduction is a schedule-independent `min by (cost, policy-id)`. The
+//! per-member reports and the statistics (apart from the worker count)
+//! are the same for the same reason.
 
 // Test code: helpers unwrap freely on controlled inputs.
 #![allow(clippy::unwrap_used)]
 
 use crusade_core::{CoSynthesis, CosynOptions};
-use crusade_explore::{explore, ExploreConfig, ExploreOutcome};
+use crusade_explore::{explore, ExploreConfig, ExploreOutcome, ExploreStats, MemberReport};
 use crusade_model::{ResourceLibrary, SystemSpec};
 use crusade_workloads::{paper_examples, paper_library, random_example};
 
 /// The part of an outcome the determinism guarantee covers, in
-/// comparable form. `Architecture` has no `PartialEq`, so the comparison
-/// goes through its serde encoding — which also makes the check
-/// bit-exact over every schedule, mode and interface detail.
-fn fingerprint(outcome: &ExploreOutcome) -> (u32, u64, String) {
+/// comparable form: everything but the worker count. `Architecture` has
+/// no `PartialEq`, so the comparison goes through its serde encoding —
+/// which also makes the check bit-exact over every schedule, mode and
+/// interface detail.
+fn fingerprint(outcome: &ExploreOutcome) -> (u32, u64, String, Vec<MemberReport>, ExploreStats) {
     (
         outcome.policy.id,
         outcome.winner.report.cost.amount(),
         serde_json::to_string(&outcome.winner.architecture).unwrap(),
+        outcome.members.clone(),
+        ExploreStats {
+            jobs: 0,
+            ..outcome.stats.clone()
+        },
     )
 }
 
@@ -74,7 +82,8 @@ fn winner_never_worse_than_sequential_crusade() {
 }
 
 /// The full acceptance run over the paper's eight Table-2 examples:
-/// bit-identical winners across 1, 2 and 8 jobs, never worse than
+/// bit-identical winners, member reports and statistics across 1, 2 and
+/// 8 jobs, never worse than
 /// sequential CRUSADE, and every winner independently audit-clean.
 /// Minutes of work — run through `scripts/ci.sh --full` or
 /// `cargo test --release -p crusade-explore -- --ignored`.

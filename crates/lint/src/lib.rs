@@ -116,8 +116,7 @@ pub fn lint(spec: &SystemSpec, lib: &ResourceLibrary, options: &LintOptions) -> 
 /// bin-packing floor (summed minimum loads over the hyperperiod, volume
 /// and half-bin bounds, priced at each class's cheapest capable type).
 ///
-/// Exploration engines prune against this — an achieved cost equal to the
-/// bound is provably unbeatable. Returns [`Dollars::ZERO`] when the
+/// An achieved cost equal to the bound is provably unbeatable. Returns [`Dollars::ZERO`] when the
 /// specification is invalid or the analysis finds no binding floor (a
 /// lower bound of zero is always sound).
 pub fn cost_lower_bound(

@@ -147,7 +147,7 @@ mod tests {
     #[test]
     fn records_are_sequenced_and_parse_back() {
         let sink = TraceSink::new();
-        sink.event(&Event::CacheHit { cluster: 4 });
+        sink.event(&Event::Eviction { cluster: 4 });
         sink.event(&Event::CandidateRejected {
             cluster: 4,
             target: "existing pe0 mode1".into(),

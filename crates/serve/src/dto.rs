@@ -173,8 +173,8 @@ pub enum ResponseBody {
 
 /// One forwarded synthesis event of a streamed job.
 ///
-/// Only coarse events are forwarded (phase spans, incumbent updates,
-/// escalations, completion); the per-candidate firehose stays server-side.
+/// Only coarse events are forwarded (phase spans, escalations,
+/// completion); the per-candidate firehose stays server-side.
 /// The stream is progress, not a trace: it interleaves racing portfolio
 /// members and is *not* covered by the determinism guarantee — use
 /// `crusade trace` for the canonical artifact.

@@ -219,9 +219,6 @@ fn coarse(event: &Event) -> bool {
         event.kind(),
         "SpanOpen"
             | "SpanClose"
-            | "IncumbentUpdate"
-            | "DominationAbort"
-            | "MemberSkipped"
             | "SynthesisComplete"
             | "DeltaApplied"
             | "AdmissionChecked"

@@ -40,6 +40,20 @@ echo "==> explore smoke (2 examples, portfolio 4, jobs 2)"
 cargo run --release -q -p crusade-bench --bin explore -- \
     --examples A1TR,VDRTX --jobs 2 --portfolio 4
 
+echo "==> explore determinism smoke (a1tr, portfolio 4, jobs 1 vs 2)"
+# The winner line must be byte-identical; the stats line may differ only
+# in the worker count.
+EXPLORE_DIR="$(mktemp -d)"
+for jobs in 1 2; do
+    cargo run --release -q -p crusade --bin crusade -- \
+        explore a1tr --portfolio 4 --jobs "$jobs" \
+        > "$EXPLORE_DIR/out.$jobs" 2> "$EXPLORE_DIR/err.$jobs"
+    sed -i 's/ at [0-9]* job(s)/ at N job(s)/' "$EXPLORE_DIR/err.$jobs"
+done
+cmp "$EXPLORE_DIR/out.1" "$EXPLORE_DIR/out.2"
+cmp "$EXPLORE_DIR/err.1" "$EXPLORE_DIR/err.2"
+rm -rf "$EXPLORE_DIR"
+
 echo "==> resyn smoke (2 examples, exit-code convention)"
 # Exit 0: a lone PE fault must be warm-repairable on both examples.
 RESYN_DELTAS="$(mktemp)"

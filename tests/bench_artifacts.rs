@@ -125,11 +125,6 @@ fn explore_artifact_winner_cost_parity() {
             sequential - best,
             "{example}: saved is not sequential_cost - best_cost"
         );
-        let hit_rate = f64_field(r, "cache_hit_rate");
-        assert!(
-            (0.0..=1.0).contains(&hit_rate),
-            "{example}: cache_hit_rate {hit_rate} out of range"
-        );
     }
 }
 
