@@ -11,7 +11,7 @@
 
 use std::fmt;
 
-use serde::{Serialize, Value};
+use serde::{Serialize, Sink};
 
 use crusade_model::{Dollars, EdgeId, GraphId, Nanos, PeTypeId, TaskId};
 
@@ -39,8 +39,8 @@ impl fmt::Display for Severity {
 }
 
 impl Serialize for Severity {
-    fn serialize_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize<S: Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        sink.str(&self.to_string())
     }
 }
 
@@ -215,92 +215,99 @@ impl Lint {
 }
 
 impl Serialize for Lint {
-    fn serialize_value(&self) -> Value {
-        fn f(name: &str, v: &impl Serialize) -> (String, Value) {
-            (name.to_string(), v.serialize_value())
+    fn serialize<S: Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        fn f<S: Sink>(sink: &mut S, name: &str, v: &impl Serialize) -> Result<(), S::Error> {
+            sink.key(name)?;
+            v.serialize(sink)
         }
-        let mut entries = vec![f("kind", &self.kind()), f("severity", &self.severity())];
+        sink.begin_map()?;
+        f(sink, "kind", &self.kind())?;
+        f(sink, "severity", &self.severity())?;
         match self {
-            Lint::InvalidSpec { message } => entries.extend([f("detail", message)]),
+            Lint::InvalidSpec { message } => f(sink, "detail", message)?,
             Lint::CriticalPathExceedsDeadline {
                 graph,
                 task,
                 best_finish,
                 deadline,
-            } => entries.extend([
-                f("graph", graph),
-                f("task", task),
-                f("best_finish", best_finish),
-                f("deadline", deadline),
-            ]),
+            } => {
+                f(sink, "graph", graph)?;
+                f(sink, "task", task)?;
+                f(sink, "best_finish", best_finish)?;
+                f(sink, "deadline", deadline)?;
+            }
             Lint::TaskExceedsPeriod {
                 graph,
                 task,
                 best,
                 period,
-            } => entries.extend([
-                f("graph", graph),
-                f("task", task),
-                f("best", best),
-                f("period", period),
-            ]),
+            } => {
+                f(sink, "graph", graph)?;
+                f(sink, "task", task)?;
+                f(sink, "best", best)?;
+                f(sink, "period", period)?;
+            }
             Lint::NoFeasiblePe { graph, task, name } => {
-                entries.extend([f("graph", graph), f("task", task), f("name", name)]);
+                f(sink, "graph", graph)?;
+                f(sink, "task", task)?;
+                f(sink, "name", name)?;
             }
             Lint::SelfExclusion { graph, task } => {
-                entries.extend([f("graph", graph), f("task", task)]);
+                f(sink, "graph", graph)?;
+                f(sink, "task", task)?;
             }
             Lint::EdgeUnroutable { graph, edge } | Lint::ExcludedAdjacent { graph, edge } => {
-                entries.extend([f("graph", graph), f("edge", edge)]);
+                f(sink, "graph", graph)?;
+                f(sink, "edge", edge)?;
             }
             Lint::EdgeInfeasible {
                 graph,
                 edge,
                 best,
                 period,
-            } => entries.extend([
-                f("graph", graph),
-                f("edge", edge),
-                f("best", best),
-                f("period", period),
-            ]),
+            } => {
+                f(sink, "graph", graph)?;
+                f(sink, "edge", edge)?;
+                f(sink, "best", best)?;
+                f(sink, "period", period)?;
+            }
             Lint::ExclusionClique {
                 graph,
                 pe_type,
                 tasks,
                 needed,
-            } => entries.extend([
-                f("graph", graph),
-                f("pe_type", pe_type),
-                f("tasks", tasks),
-                f("needed", needed),
-            ]),
+            } => {
+                f(sink, "graph", graph)?;
+                f(sink, "pe_type", pe_type)?;
+                f(sink, "tasks", tasks)?;
+                f(sink, "needed", needed)?;
+            }
             Lint::DeadCompatibility {
                 a,
                 b,
                 task_a,
                 task_b,
-            } => entries.extend([
-                f("a", a),
-                f("b", b),
-                f("task_a", task_a),
-                f("task_b", task_b),
-            ]),
+            } => {
+                f(sink, "a", a)?;
+                f(sink, "b", b)?;
+                f(sink, "task_a", task_a)?;
+                f(sink, "task_b", task_b)?;
+            }
             Lint::ClassLowerBound {
                 class,
                 min_instances,
                 ffd_instances,
                 cost_floor,
-            } => entries.extend([
-                f("class", class),
-                f("min_instances", min_instances),
-                f("ffd_instances", ffd_instances),
-                f("cost_floor", cost_floor),
-            ]),
-            Lint::CostLowerBound { total } => entries.extend([f("total", total)]),
+            } => {
+                f(sink, "class", class)?;
+                f(sink, "min_instances", min_instances)?;
+                f(sink, "ffd_instances", ffd_instances)?;
+                f(sink, "cost_floor", cost_floor)?;
+            }
+            Lint::CostLowerBound { total } => f(sink, "total", total)?,
         }
-        entries.push(f("message", &self.to_string()));
-        Value::Map(entries)
+        f(sink, "message", &self.to_string())?;
+        sink.end_map()
     }
 }
 
@@ -402,8 +409,8 @@ pub struct LintReport {
 }
 
 impl Serialize for LintReport {
-    fn serialize_value(&self) -> Value {
-        self.lints.serialize_value()
+    fn serialize<S: Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        self.lints.serialize(sink)
     }
 }
 

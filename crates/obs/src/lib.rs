@@ -28,7 +28,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Source};
 
 pub mod metrics;
 pub mod trace;
@@ -463,15 +463,16 @@ impl PartialEq for ObserverHandle {
 
 /// Serializes as `null`: observers are runtime attachments, not data.
 impl Serialize for ObserverHandle {
-    fn serialize_value(&self) -> Value {
-        Value::Null
+    fn serialize<S: Sink>(&self, sink: &mut S) -> Result<(), S::Error> {
+        sink.null()
     }
 }
 
 /// Deserializes any value to the disabled handle (persisted artifacts
 /// never carry an observer).
 impl Deserialize for ObserverHandle {
-    fn deserialize_value(_v: &Value) -> Result<Self, DeError> {
+    fn deserialize<S: Source>(src: &mut S) -> Result<Self, DeError> {
+        src.skip()?;
         Ok(ObserverHandle::none())
     }
 }
@@ -568,8 +569,8 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, ObserverHandle::none());
         assert_eq!(ObserverHandle::none(), ObserverHandle::default());
-        assert_eq!(a.serialize_value(), Value::Null);
-        let back = ObserverHandle::deserialize_value(&Value::Null).unwrap();
+        assert_eq!(a.serialize_value(), serde::Value::Null);
+        let back = ObserverHandle::deserialize_value(&serde::Value::Null).unwrap();
         assert!(!back.is_enabled());
     }
 

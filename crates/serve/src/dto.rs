@@ -20,9 +20,13 @@
 //! variant payload must carry *exactly* the documented fields, the
 //! protocol version must match, the frame must stay under the size cap,
 //! and violations come back as typed [`ProtocolError`]s — never a panic,
-//! never a silently-dropped field.
+//! never a silently-dropped field. The decoder builds no tree: a
+//! validate-only pre-scan takes the key census of the envelope, the body
+//! and the command payload, and one typed pass then reads the request
+//! straight from the text (see [`decode_request`]).
 
-use serde::{Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Source, Token};
+use serde_json::Deserializer;
 
 use crusade_model::{ResourceLibrary, SpecDelta, SystemSpec};
 use crusade_obs::Event;
@@ -410,27 +414,244 @@ fn variant_fields(variant: &str) -> Option<&'static [&'static str]> {
     }
 }
 
-fn check_exact_fields(map: &Value, allowed: &[&str], context: &str) -> Result<(), ProtocolError> {
-    let Value::Map(entries) = map else {
-        return Err(ProtocolError {
-            kind: ProtocolErrorKind::MalformedFrame,
-            detail: format!("{context}: expected an object, got {}", map.kind()),
-        });
-    };
-    for (key, _) in entries {
-        if !allowed.contains(&key.as_str()) {
+fn malformed(detail: String) -> ProtocolError {
+    ProtocolError {
+        kind: ProtocolErrorKind::MalformedFrame,
+        detail,
+    }
+}
+
+/// The key census of one value that must be an object with exactly the
+/// fields `allowed`.
+struct Fields {
+    allowed: &'static [&'static str],
+    /// The value's shape, when it is not an object.
+    not_object: Option<&'static str>,
+    /// The first key outside `allowed`.
+    unknown: Option<String>,
+    /// Bit `i` is set when `allowed[i]` appeared.
+    seen: u32,
+}
+
+impl Fields {
+    fn new(allowed: &'static [&'static str]) -> Self {
+        Fields {
+            allowed,
+            not_object: None,
+            unknown: None,
+            seen: 0,
+        }
+    }
+
+    /// Counts one key of the object; returns the field's index when the
+    /// key is the first occurrence of an allowed field.
+    fn record(&mut self, key: &str) -> Option<usize> {
+        match self.allowed.iter().position(|f| *f == key) {
+            Some(i) if self.seen & (1 << i) == 0 => {
+                self.seen |= 1 << i;
+                Some(i)
+            }
+            Some(_) => None,
+            None => {
+                if self.unknown.is_none() {
+                    self.unknown = Some(key.to_owned());
+                }
+                None
+            }
+        }
+    }
+
+    /// The first violated rule: not an object, then an unknown field,
+    /// then a missing one (in `allowed` order).
+    fn check(&self, context: &str) -> Result<(), ProtocolError> {
+        if let Some(kind) = self.not_object {
+            return Err(malformed(format!(
+                "{context}: expected an object, got {kind}"
+            )));
+        }
+        if let Some(key) = &self.unknown {
             return Err(ProtocolError {
                 kind: ProtocolErrorKind::UnknownField,
                 detail: format!("{context}: unknown field `{key}`"),
             });
         }
+        match (0..self.allowed.len()).find(|i| self.seen & (1 << i) == 0) {
+            Some(i) => Err(malformed(format!(
+                "{context}: missing field `{}`",
+                self.allowed[i]
+            ))),
+            None => Ok(()),
+        }
     }
-    for required in allowed {
-        if entries.iter().all(|(k, _)| k != required) {
+}
+
+/// What the strictness rules need to know about a frame: the key census
+/// of the envelope, of the first `body` object and of its first command's
+/// payload, and the first `v` value. Every rule's first violation is
+/// kept, so the rules apply in their documented order whatever the key
+/// order of the frame.
+struct FrameScan {
+    envelope: Fields,
+    /// How to show the first `v` value when it is not
+    /// [`PROTOCOL_VERSION`].
+    version_mismatch: Option<String>,
+    /// The first `body` value's shape, when it is not an object.
+    body_not_object: Option<&'static str>,
+    /// Entries of the first `body` object.
+    commands: usize,
+    /// The first entry's key.
+    command: String,
+    /// The census of the first entry's value, when the command is known.
+    payload: Option<Fields>,
+}
+
+impl FrameScan {
+    fn new() -> Self {
+        FrameScan {
+            envelope: Fields::new(ENVELOPE_FIELDS),
+            version_mismatch: None,
+            body_not_object: None,
+            commands: 0,
+            command: String::new(),
+            payload: None,
+        }
+    }
+
+    fn record_version(&mut self, token: Token<'_>) {
+        self.version_mismatch = match token {
+            Token::U64(v) if v == u64::from(PROTOCOL_VERSION) => None,
+            Token::U64(v) => Some(v.to_string()),
+            Token::I64(v) => Some(v.to_string()),
+            Token::F64(v) => Some(format!("{v:?}")),
+            Token::Str(s) => Some(format!("{:?}", s.chars().take(32).collect::<String>())),
+            other => Some(format!("a {}", other.kind())),
+        };
+    }
+
+    /// Counts one key of the first body object; `true` when it names the
+    /// command whose payload the census records.
+    fn record_command(&mut self, key: &str) -> bool {
+        self.commands += 1;
+        if self.commands > 1 {
+            return false;
+        }
+        key.clone_into(&mut self.command);
+        self.payload = variant_fields(key).map(Fields::new);
+        self.payload.is_some()
+    }
+
+    /// Applies the strictness rules that follow well-formedness, in
+    /// order.
+    fn check(&self) -> Result<(), ProtocolError> {
+        self.envelope.check("request envelope")?;
+        if let Some(shown) = &self.version_mismatch {
             return Err(ProtocolError {
-                kind: ProtocolErrorKind::MalformedFrame,
-                detail: format!("{context}: missing field `{required}`"),
+                kind: ProtocolErrorKind::VersionMismatch,
+                detail: format!("protocol version {shown}; this server speaks {PROTOCOL_VERSION}"),
             });
+        }
+        if let Some(kind) = self.body_not_object {
+            return Err(malformed(format!(
+                "request body: expected an object, got {kind}"
+            )));
+        }
+        if self.commands != 1 {
+            return Err(malformed(format!(
+                "request body: expected exactly one command key, got {}",
+                self.commands
+            )));
+        }
+        let Some(payload) = &self.payload else {
+            return Err(ProtocolError {
+                kind: ProtocolErrorKind::UnknownCommand,
+                detail: format!("unknown command `{}`", self.command),
+            });
+        };
+        payload.check(&format!("`{}` payload", self.command))
+    }
+}
+
+/// Opens the next value when it is an object; otherwise reads past it
+/// and records its shape in `not_object`.
+fn open_object(
+    de: &mut Deserializer<'_>,
+    not_object: &mut Option<&'static str>,
+) -> Result<bool, DeError> {
+    let token = de.token()?;
+    if token == Token::Map {
+        return Ok(true);
+    }
+    *not_object = Some(token.kind());
+    if token == Token::Seq {
+        finish_container(de, false)?;
+    }
+    Ok(false)
+}
+
+/// Reads past the rest of a container whose opening token was just
+/// read.
+fn finish_container(de: &mut Deserializer<'_>, map: bool) -> Result<(), DeError> {
+    if map {
+        while de.next_key()?.is_some() {
+            de.skip()?;
+        }
+    } else {
+        while de.next_element()? {
+            de.skip()?;
+        }
+    }
+    Ok(())
+}
+
+/// The validate-only pre-scan: checks that the whole frame is well-formed
+/// JSON and takes its census.
+fn scan_request(line: &str) -> Result<FrameScan, DeError> {
+    let mut de = Deserializer::from_str(line);
+    let mut scan = FrameScan::new();
+    if open_object(&mut de, &mut scan.envelope.not_object)? {
+        while let Some(key) = de.next_key()? {
+            let first = scan.envelope.record(key).is_some();
+            match key {
+                "v" if first => {
+                    let token = de.token()?;
+                    let opened = match token {
+                        Token::Seq => Some(false),
+                        Token::Map => Some(true),
+                        _ => None,
+                    };
+                    scan.record_version(token);
+                    if let Some(map) = opened {
+                        finish_container(&mut de, map)?;
+                    }
+                }
+                "body" if first => scan_body(&mut de, &mut scan)?,
+                _ => de.skip()?,
+            }
+        }
+    }
+    de.end().map_err(|e| DeError::custom(e.to_string()))?;
+    Ok(scan)
+}
+
+fn scan_body(de: &mut Deserializer<'_>, scan: &mut FrameScan) -> Result<(), DeError> {
+    if !open_object(de, &mut scan.body_not_object)? {
+        return Ok(());
+    }
+    while let Some(key) = de.next_key()? {
+        let payload = if scan.record_command(key) {
+            scan.payload.as_mut()
+        } else {
+            None
+        };
+        let Some(payload) = payload else {
+            de.skip()?;
+            continue;
+        };
+        if open_object(de, &mut payload.not_object)? {
+            while let Some(key) = de.next_key()? {
+                payload.record(key);
+                de.skip()?;
+            }
         }
     }
     Ok(())
@@ -438,10 +659,15 @@ fn check_exact_fields(map: &Value, allowed: &[&str], context: &str) -> Result<()
 
 /// Strictly decodes one request line.
 ///
-/// Enforces, in order: the byte cap, JSON well-formedness, the exact
+/// Enforces, in order: the byte cap, JSON well-formedness (nesting
+/// deeper than [`serde_json::MAX_DEPTH`] is malformed), the exact
 /// envelope field set, the protocol version, a known single-variant body,
 /// the variant's exact payload field set, and finally the typed
 /// deserialization itself.
+///
+/// A validate-only pre-scan takes the census of the envelope, body and
+/// payload keys without allocating a tree and applies the rules above in
+/// order; one typed pass then decodes the request straight from the text.
 ///
 /// # Errors
 ///
@@ -454,49 +680,9 @@ pub fn decode_request(line: &str, max_bytes: usize) -> Result<Request, ProtocolE
             detail: format!("frame is {} bytes; cap is {max_bytes}", line.len()),
         });
     }
-    let value: Value = serde_json::from_str(line).map_err(|e| ProtocolError {
-        kind: ProtocolErrorKind::MalformedFrame,
-        detail: format!("parsing frame: {e}"),
-    })?;
-    check_exact_fields(&value, ENVELOPE_FIELDS, "request envelope")?;
-    match value.get("v") {
-        Some(Value::U64(v)) if *v == u64::from(PROTOCOL_VERSION) => {}
-        other => {
-            return Err(ProtocolError {
-                kind: ProtocolErrorKind::VersionMismatch,
-                detail: format!(
-                    "protocol version {other:?}; this server speaks {PROTOCOL_VERSION}"
-                ),
-            })
-        }
-    }
-    let body = value.get("body").unwrap_or(&Value::Null);
-    let Value::Map(entries) = body else {
-        return Err(ProtocolError {
-            kind: ProtocolErrorKind::MalformedFrame,
-            detail: format!("request body: expected an object, got {}", body.kind()),
-        });
-    };
-    let [(variant, payload)] = entries.as_slice() else {
-        return Err(ProtocolError {
-            kind: ProtocolErrorKind::MalformedFrame,
-            detail: format!(
-                "request body: expected exactly one command key, got {}",
-                entries.len()
-            ),
-        });
-    };
-    let Some(allowed) = variant_fields(variant) else {
-        return Err(ProtocolError {
-            kind: ProtocolErrorKind::UnknownCommand,
-            detail: format!("unknown command `{variant}`"),
-        });
-    };
-    check_exact_fields(payload, allowed, &format!("`{variant}` payload"))?;
-    Request::deserialize_value(&value).map_err(|e| ProtocolError {
-        kind: ProtocolErrorKind::MalformedFrame,
-        detail: format!("decoding request: {e}"),
-    })
+    let scan = scan_request(line).map_err(|e| malformed(format!("parsing frame: {e}")))?;
+    scan.check()?;
+    serde_json::from_str(line).map_err(|e| malformed(format!("decoding request: {e}")))
 }
 
 /// Decodes one response line (clients are lenient: they only demand a

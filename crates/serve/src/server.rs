@@ -93,13 +93,13 @@ impl std::error::Error for ServeError {}
 /// What a queued job will run.
 enum JobKind {
     Submit {
-        payload: Arc<SpecPayload>,
+        payload: SpecPayload,
         portfolio: usize,
         reconfiguration: bool,
         stream: bool,
     },
     Resyn {
-        payload: Arc<SpecPayload>,
+        payload: SpecPayload,
         deltas: Vec<SpecDelta>,
         portfolio: usize,
         reconfiguration: bool,
@@ -134,7 +134,9 @@ impl JobState {
 
 struct Job {
     client: String,
-    kind: JobKind,
+    /// What the job runs; a worker moves it out when it claims the job,
+    /// so a finished job holds no copy of its specification.
+    work: Option<JobKind>,
     fingerprint: String,
     state: JobState,
     cancel: Arc<AtomicBool>,
@@ -498,7 +500,7 @@ fn enqueue(
         id,
         Job {
             client: client.to_string(),
-            kind,
+            work: Some(kind),
             fingerprint: fp,
             state: JobState::Queued,
             cancel: Arc::new(AtomicBool::new(false)),
@@ -564,7 +566,7 @@ fn handle_submit(stream: &mut TcpStream, state: &Arc<State>, client: &str, req: 
                 None => {
                     inner.counters.cache_misses += 1;
                     let kind = JobKind::Submit {
-                        payload: Arc::new(req.payload),
+                        payload: req.payload,
                         portfolio,
                         reconfiguration: req.reconfiguration,
                         stream: req.stream,
@@ -721,7 +723,7 @@ fn handle_resyn(state: &Arc<State>, client: &str, req: ResynRequest) -> Response
             return Response::new(ResponseBody::Error(e));
         }
         let kind = JobKind::Resyn {
-            payload: Arc::new(req.payload),
+            payload: req.payload,
             deltas: req.deltas,
             portfolio,
             reconfiguration: req.reconfiguration,
@@ -805,15 +807,12 @@ fn finish_job(state: &State, inner: &mut Inner, id: u64, terminal: JobState) {
     let fp_release = match inner.jobs.get_mut(&id) {
         Some(job) => {
             // A submit that did not finish with a cacheable winner must
-            // release its pending slot so later submissions re-run
-            // instead of coalescing onto a corpse.
-            let release = matches!(
-                (&job.kind, &terminal),
-                (JobKind::Submit { .. }, JobState::Cancelled)
-                    | (JobKind::Submit { .. }, JobState::Failed(_))
-            );
+            // release its pending slot (only submits hold one) so later
+            // submissions re-run instead of coalescing onto a corpse.
+            let release = matches!(terminal, JobState::Cancelled | JobState::Failed(_));
             job.state = terminal;
             job.done_tx = None;
+            job.work = None;
             release.then(|| job.fingerprint.clone())
         }
         None => return,
@@ -830,49 +829,26 @@ fn finish_job(state: &State, inner: &mut Inner, id: u64, terminal: JobState) {
 
 fn worker_loop(state: &Arc<State>) {
     loop {
-        let (id, kind_view, cancel, tx, queue_ms) = {
+        let (id, work, cancel, tx, queue_ms) = {
             let mut inner = state.lock();
             loop {
                 if let Some(id) = inner.queue.pop_front() {
-                    let claimed = inner.jobs.get_mut(&id).map(|job| {
+                    let claimed = inner.jobs.get_mut(&id).and_then(|job| {
+                        let work = job.work.take()?;
                         job.state = JobState::Running;
                         job.queue_ms = job.enqueued_at.elapsed().as_secs_f64() * 1000.0;
-                        let view = match &job.kind {
-                            JobKind::Submit {
-                                payload,
-                                portfolio,
-                                reconfiguration,
-                                stream,
-                            } => WorkView::Submit {
-                                payload: Arc::clone(payload),
-                                portfolio: *portfolio,
-                                reconfiguration: *reconfiguration,
-                                stream: *stream,
-                            },
-                            JobKind::Resyn {
-                                payload,
-                                deltas,
-                                portfolio,
-                                reconfiguration,
-                            } => WorkView::Resyn {
-                                payload: Arc::clone(payload),
-                                deltas: deltas.clone(),
-                                portfolio: *portfolio,
-                                reconfiguration: *reconfiguration,
-                            },
-                        };
-                        (
-                            view,
+                        Some((
+                            work,
                             Arc::clone(&job.cancel),
                             job.done_tx.clone(),
                             job.queue_ms,
-                        )
+                        ))
                     });
-                    let Some((view, cancel, tx, queue_ms)) = claimed else {
+                    let Some((work, cancel, tx, queue_ms)) = claimed else {
                         continue;
                     };
                     inner.running += 1;
-                    break (id, view, cancel, tx, queue_ms);
+                    break (id, work, cancel, tx, queue_ms);
                 }
                 if inner.shutdown {
                     return;
@@ -883,7 +859,7 @@ fn worker_loop(state: &Arc<State>) {
                 };
             }
         };
-        let (terminal, winner) = run_job(state, id, kind_view, &cancel, tx, queue_ms);
+        let (terminal, winner) = run_job(state, id, &work, &cancel, tx, queue_ms);
         let mut inner = state.lock();
         if let (JobState::Done(result), Some(synthesis)) = (&terminal, winner) {
             // Promote the pending slot to a ready entry so duplicates hit.
@@ -897,23 +873,11 @@ fn worker_loop(state: &Arc<State>) {
         }
         inner.running -= 1;
         finish_job(state, &mut inner, id, terminal);
+        drop(inner);
+        // Freed only now, after the waiting connection has been woken,
+        // to keep the free off the answer's latency.
+        drop(work);
     }
-}
-
-/// What a worker copies out of the job under the lock.
-enum WorkView {
-    Submit {
-        payload: Arc<SpecPayload>,
-        portfolio: usize,
-        reconfiguration: bool,
-        stream: bool,
-    },
-    Resyn {
-        payload: Arc<SpecPayload>,
-        deltas: Vec<SpecDelta>,
-        portfolio: usize,
-        reconfiguration: bool,
-    },
 }
 
 fn base_options(reconfiguration: bool) -> CosynOptions {
@@ -929,14 +893,14 @@ fn base_options(reconfiguration: bool) -> CosynOptions {
 fn run_job(
     state: &Arc<State>,
     id: u64,
-    view: WorkView,
+    work: &JobKind,
     cancel: &Arc<AtomicBool>,
     tx: Option<mpsc::Sender<JobEvent>>,
     queue_ms: f64,
 ) -> (JobState, Option<SynthesisResult>) {
-    match view {
-        WorkView::Submit {
-            payload,
+    match *work {
+        JobKind::Submit {
+            ref payload,
             portfolio,
             reconfiguration,
             stream,
@@ -1007,13 +971,13 @@ fn run_job(
                 }
             }
         }
-        WorkView::Resyn {
-            payload,
-            deltas,
+        JobKind::Resyn {
+            ref payload,
+            ref deltas,
             portfolio,
             reconfiguration,
         } => (
-            run_resyn(state, id, &payload, deltas, portfolio, reconfiguration),
+            run_resyn(state, id, payload, deltas, portfolio, reconfiguration),
             None,
         ),
     }
@@ -1023,7 +987,7 @@ fn run_resyn(
     state: &Arc<State>,
     id: u64,
     payload: &SpecPayload,
-    deltas: Vec<SpecDelta>,
+    deltas: &[SpecDelta],
     portfolio: usize,
     reconfiguration: bool,
 ) -> JobState {
@@ -1103,7 +1067,7 @@ fn run_resyn(
         &payload.spec,
         &payload.library,
         incumbent,
-        &deltas,
+        deltas,
         &resyn_config,
     ) {
         Ok(outcome) => {
@@ -1133,5 +1097,45 @@ fn run_resyn(
             kind: ProtocolErrorKind::Infeasible,
             detail: format!("re-synthesis failed: {e:?}"),
         }),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::ServeClient;
+
+    #[test]
+    fn finished_jobs_keep_no_specification() {
+        let server = ServerHandle::bind(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        })
+        .expect("binds an ephemeral port");
+        let client = ServeClient::new(server.local_addr().to_string(), "t");
+        let (library, spec) = crusade_workloads::motivating_example();
+        let payload = SpecPayload { library, spec };
+        client
+            .submit(payload.clone(), 1, true, false, |_| {})
+            .expect("synthesizes");
+        let graph = crusade_model::GraphId::new(0);
+        let deadline = payload.spec.graph(graph).deadline().as_nanos();
+        let delta = SpecDelta::TightenDeadline {
+            graph,
+            deadline: crusade_model::Nanos::from_nanos(deadline * 99 / 100),
+        };
+        client
+            .resyn(payload, vec![delta], 1, true)
+            .expect("re-synthesizes");
+        let held = server
+            .state
+            .lock()
+            .jobs
+            .values()
+            .filter(|job| job.work.is_some())
+            .count();
+        assert_eq!(held, 0, "a finished job still holds its specification");
+        client.shutdown().expect("drains");
+        server.wait().expect("exits cleanly");
     }
 }

@@ -142,6 +142,9 @@ if [[ "${1:-}" == "--full" ]]; then
     echo "==> repository benchmark self-test (gen-sweep, seed 1: allocator counters repeat)"
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
         --workload gen-sweep --seed 1 --seconds 10 --self-test
+    echo "==> repository benchmark self-test (serve-session, seed 1: counters repeat, duplicates hit)"
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload serve-session --seed 1 --seconds 10 --self-test
     echo "==> line-coverage ratchet (crates/core + crates/sched)"
     scripts/coverage.sh
 fi

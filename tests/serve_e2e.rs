@@ -160,6 +160,37 @@ fn oversized_frames_are_refused_with_a_typed_error() {
 }
 
 #[test]
+fn deeply_nested_frame_is_refused_and_the_server_stays_up() {
+    use std::io::{BufRead, BufReader, Write};
+    let (server, addr) = bind(ServeConfig::default());
+    // A 1 MB run of `[` inside a well-formed envelope prefix: the frame
+    // must come back as a typed refusal, not abort the daemon through a
+    // stack overflow on the connection thread.
+    let mut stream = std::net::TcpStream::connect(&addr).unwrap();
+    let frame = format!(
+        "{{\"v\":1,\"client\":\"t\",\"body\":{{\"Stats\":{}\n",
+        "[".repeat(1 << 20)
+    );
+    stream.write_all(frame.as_bytes()).unwrap();
+    let mut reply = String::new();
+    BufReader::new(&stream).read_line(&mut reply).unwrap();
+    match crusade::serve::decode_response(reply.trim_end())
+        .unwrap()
+        .body
+    {
+        crusade::serve::ResponseBody::Error(e) => {
+            assert_eq!(e.kind, ProtocolErrorKind::MalformedFrame);
+        }
+        other => panic!("deep frame: expected a MalformedFrame error, got {other:?}"),
+    }
+    let client = ServeClient::new(addr, "e2e-deep");
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.submitted, 0);
+    client.shutdown().unwrap();
+    server.wait().unwrap();
+}
+
+#[test]
 fn resyn_warm_starts_from_the_fingerprint_cache() {
     let (server, addr) = bind(ServeConfig::default());
     let client = ServeClient::new(addr, "e2e-resyn");

@@ -15,7 +15,7 @@ use crusade_serve::{
     ResynRequest, ResynResult, ResynStep, ServerStats, ShutdownRequest, SpecPayload, StatsRequest,
     SubmitRequest, DEFAULT_MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
-use crusade_workloads::motivating_example;
+use crusade_workloads::{motivating_example, paper_examples, paper_library};
 
 fn sample_payload() -> SpecPayload {
     let (library, spec) = motivating_example();
@@ -278,6 +278,15 @@ fn hostile_inputs_never_panic() {
         assert!(!err.kind.as_str().is_empty());
         assert!(!err.to_string().is_empty());
     }
+    // A 1 MB run of `[`: without the reader's nesting cap this overflows
+    // the stack and aborts the process.
+    let deep = format!(
+        "{{\"v\":1,\"client\":\"t\",\"body\":{{\"Stats\":{}",
+        "[".repeat(1 << 20)
+    );
+    let err = decode_request(&deep, DEFAULT_MAX_FRAME_BYTES).expect_err("deep frame accepted");
+    assert_eq!(err.kind, ProtocolErrorKind::MalformedFrame);
+    assert!(err.detail.contains("nesting"), "{err}");
 }
 
 #[test]
@@ -304,4 +313,46 @@ fn fingerprints_are_stable_across_encoding() {
     assert_eq!(a, crusade_serve::fingerprint(&b, 8, true).unwrap());
     assert_eq!(a.len(), 16, "fingerprint is not 16 hex digits");
     assert!(a.chars().all(|c| c.is_ascii_hexdigit()));
+}
+
+#[test]
+fn fingerprints_are_pinned() {
+    // The cache keys of the eight Table-2 examples and two generated
+    // specs at portfolio 8 with reconfiguration on, as computed by the
+    // encoder that built a `Value` tree before printing it. Any drift in
+    // the canonical bytes — field order, number or float rendering,
+    // escapes — changes a key and strands every cached architecture.
+    const EXAMPLES: [(&str, &str); 8] = [
+        ("A1TR", "6c49a7a0098f4a52"),
+        ("VDRTX", "0265465de668b29b"),
+        ("HROST", "c086d62050b8497f"),
+        ("EST189A", "db2706bf5efeb5fd"),
+        ("HRXC", "e4344cda39214b56"),
+        ("ADMR", "1068b1e8fe1b7df6"),
+        ("B192G", "e26328f673aebbf1"),
+        ("NGXM", "0b135b4147d79e98"),
+    ];
+    const GENERATED: [(&str, &str); 2] = [
+        ("gen:7", "ba554037d6b74e03"),
+        ("gen:42:1.6:12:0.45", "09ab94115275b137"),
+    ];
+    let lib = paper_library();
+    let examples = paper_examples();
+    for (name, pin) in EXAMPLES {
+        let example = examples.iter().find(|e| e.name == name).unwrap();
+        let payload = SpecPayload {
+            library: lib.lib.clone(),
+            spec: example.build(&lib),
+        };
+        let key = crusade_serve::fingerprint(&payload, 8, true).unwrap();
+        assert_eq!(key, pin, "fingerprint of {name} drifted");
+    }
+    for (reference, pin) in GENERATED {
+        let config = crusade_gen::GenConfig::from_ref(reference)
+            .unwrap()
+            .unwrap();
+        let (library, spec) = crusade_gen::generate_payload(&config);
+        let key = crusade_serve::fingerprint(&SpecPayload { library, spec }, 8, true).unwrap();
+        assert_eq!(key, pin, "fingerprint of {reference} drifted");
+    }
 }
